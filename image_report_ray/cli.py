@@ -607,15 +607,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
         for vname, vrel in (entry.get("views") or {}).items():
             if f"epoch={entry['epoch']:05d}" not in vrel:
                 continue  # carried forward from an older compaction
-            from .state.merge import fold_state_tables
+            from .state.manifest import read_composition
             from .state.views import VIEW_REGISTRY, sort_view
 
             if vname not in VIEW_REGISTRY:
                 problems.append(f"pid {pid}: unknown view {vname!r} in manifest")
                 continue
             files = entry.get("files") or [entry["file"]]
-            folded = fold_state_tables(
-                [pq.read_table(os.path.join(lake.root, r)) for r in files]
+            folded = read_composition(
+                [os.path.join(lake.root, r) for r in files]
             )
             expect = sort_view(vname, VIEW_REGISTRY[vname](folded))
             got = pq.read_table(os.path.join(lake.root, vrel))
@@ -715,9 +715,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--salt-key", action="append",
                    help="conv_id to salt across sub-partitions (repeatable)")
     r.add_argument("--merge-mode", choices=("cow", "mor"), default="cow",
-                   help="cow: rewrite partition state every epoch; "
-                        "mor: per-epoch deltas + periodic compaction")
-    r.add_argument("--compact-every", type=positive_int, default=8)
+                   help="alias: cow (the default) means --compact-every 1, "
+                        "a full state rewrite every epoch; mor keeps "
+                        "--compact-every")
+    r.add_argument("--compact-every", type=positive_int, default=8,
+                   help="with --merge-mode mor: epochs per composition "
+                        "(base + deltas) before a compaction")
     r.add_argument("--compact-rows-factor", type=float, default=None,
                    dest="compact_rows_factor",
                    help="mor: also compact a partition once its delta "

@@ -12,7 +12,7 @@ metrics / validators instead of image hashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 
 def float_0_1(value: str | float) -> float:
@@ -105,17 +105,16 @@ class EngineConfig:
     /root/reference/utils.py:114-148, re-targeted at CDC)."""
 
     num_partitions: int = 16          # P: fixed across cluster sizes; >= 4N actors
-    epoch_size: int = 10_000          # change events per epoch (WAL window)
-    batch_size: int = 65_536          # rows per map_batches batch
     map_task_rows: int = 131_072      # target WAL rows per exchange map task
     epoch_lookahead: int = 1          # map stages pre-submitted beyond current epoch
-    merge_mode: str = "cow"           # "cow": rewrite full partition state per epoch
-                                      # "mor": write per-epoch deltas, compact every
-                                      #        compact_every epochs (10^10-event path:
-                                      #        epoch cost ~ O(delta), not O(state))
-    compact_every: int = 8            # mor: deltas accumulated before a compaction
+    merge_mode: InitVar[str] = "cow"  # construction-only alias: "cow" sets
+                                      # compact_every=1, "mor" keeps it
+    compact_every: int = 8            # files per composition (base + deltas)
+                                      # before the merge folds it into one; the
+                                      # epochs between write only their delta
+                                      # (10^10-event path: cost ~ O(delta))
     compact_rows_factor: "float | None" = None
-                                      # mor: ALSO compact a partition once its
+                                      # ALSO compact a partition once its
                                       # accumulated delta rows reach this fraction
                                       # of the base file's rows (size-tiered
                                       # policy — hot partitions compact early,
@@ -124,18 +123,19 @@ class EngineConfig:
     salt_threshold: int = 50_000      # events/epoch for one conv_id before salt advisory
     salt_factor: int = 4              # hot conversations split into this many sub-routes
     metrics: str = "basic"            # lineage-metric selection (functions/metrics.py DSL)
-    validations: str = "all"          # selection spec for lineage validators
     views: tuple = ()                 # materialized views maintained by the merge
                                       # (state/views.py registry); committed atomically
-                                      # with the state, exact every epoch under cow,
-                                      # exact at compaction points under mor
+                                      # with the state, exact at every compaction
+                                      # (every epoch when compact_every=1)
     # tombstone retention is an explicit watermark, not a config knob:
     # see pipelines.cdc.gc_tombstones / `cli compact --before-lsn`
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, merge_mode: str) -> None:
+        if merge_mode not in ("cow", "mor"):
+            raise ValueError(f"merge_mode must be cow|mor, got {merge_mode!r}")
+        if merge_mode == "cow":
+            self.compact_every = 1
         self.num_partitions = positive_int(self.num_partitions)
-        self.epoch_size = positive_int(self.epoch_size)
-        self.batch_size = positive_int(self.batch_size)
         self.salt_factor = positive_int(self.salt_factor)
         self.compact_every = positive_int(self.compact_every)
         self.epoch_lookahead = int(self.epoch_lookahead)
@@ -143,8 +143,6 @@ class EngineConfig:
             raise ValueError(
                 f"epoch_lookahead must be >= 0, got {self.epoch_lookahead}"
             )
-        if self.merge_mode not in ("cow", "mor"):
-            raise ValueError(f"merge_mode must be cow|mor, got {self.merge_mode!r}")
         if self.compact_rows_factor is not None:
             self.compact_rows_factor = float(self.compact_rows_factor)
             if self.compact_rows_factor <= 0:

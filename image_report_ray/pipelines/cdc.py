@@ -28,19 +28,23 @@ Scale notes (100 TB design): the exchange moves O(distinct keys/epoch)
 rows because the combiner folds each map task's input to one surviving
 event per key before the split; partition state lives in committed Parquet,
 not actor memory, so state is bounded by disk, resume is free, and any
-worker can merge any partition. Two merge modes (``EngineConfig.merge_mode``):
-``cow`` rewrites the partition's full state each epoch (rich per-epoch
-ledger; cost O(state)); ``mor`` writes only the epoch's sorted delta and
-folds the base+delta chain at read time, compacting every
-``compact_every`` epochs (cost O(delta) — the 10^10-event path; measured
-1.7x faster on a 40M-event / 12.8M-key replay). ``run_job`` keeps a
-bounded lookahead of map stages in flight so epoch K+1 reads/compacts
-while epoch K merges — the WAL never materializes fully.
+worker can merge any partition. One merge path, one knob
+(``EngineConfig.compact_every``): a partition's committed state is a
+composition — a base file plus the sorted deltas of later epochs, folded
+LWW at read time. An epoch writes only its delta (cost O(delta) — the
+10^10-event path; measured 1.7x faster than full rewrites on a 40M-event
+/ 12.8M-key replay) until the composition would reach ``compact_every``
+files; then the merge folds it with the epoch into one full state file.
+``compact_every=1`` (the default, alias ``merge_mode="cow"``) rewrites the
+full state every epoch. GC, expiry, reshard and bootstrap rewrite
+partitions through the same read / stage / commit helpers
+(``state/manifest.py``). ``run_job`` keeps a bounded lookahead of map
+stages in flight so epoch K+1 reads/compacts while epoch K merges — the
+WAL never materializes fully.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
@@ -54,14 +58,12 @@ import pyarrow.parquet as pq
 from ..config import EngineConfig
 from ..schema import DELETED_COL, LSN_COL, PID_COL, concat_evolving
 from ..stages.derive import make_add_pid, validate_changes
-from ..state.manifest import Lake
+from ..state.manifest import Lake, read_canonical, read_composition, stage_partition
 from ..state.merge import (
-    ACCT_COLS,
     MergeStats,
     compact_changes,
-    export_canonical,
     merge_state_with_changes,
-    table_digest,
+    sort_canonical,
 )
 from ..xmlreport import build_partition_report, write_report
 
@@ -71,6 +73,12 @@ _STATS_FIELDS = (
     "received", "received_i", "received_u", "received_d",
     "applied", "stale_skipped", "dup_skipped",
     "rows_live", "tombstoned", "keys_total", "last_lsn",
+)
+
+# commit-entry fields a merge row carries (besides files and views)
+_ENTRY_FIELDS = (
+    "file", "digest", "rows_live", "tombstoned", "keys_total",
+    "last_lsn", "received", "applied",
 )
 
 
@@ -156,8 +164,9 @@ def merge_partition_kernel(
     """The reduce side: apply one partition's change slices to its state.
 
     Writes the new state file under its deterministic staged name and
-    returns a JSON-able stats row. Idempotent: a Ray retry overwrites the
-    same path via tmp+rename, and visibility waits for the driver's commit
+    returns a JSON-able row: its commit entry fields (``stage_partition``)
+    plus the merge ledger. Idempotent: a Ray retry overwrites the same
+    path via tmp+rename, and visibility waits for the commit record
     (two-phase, manifest.py). Selected lineage metrics (the extractor
     registry, functions/metrics.py) run here over the post-merge state."""
     from ..functions.metrics import compute_metrics
@@ -170,10 +179,7 @@ def merge_partition_kernel(
     new_state, stats = merge_state_with_changes(
         prior, changes, prior_last_lsn=prior_lsn, track_hot_keys=track_hot_keys
     )
-    digest = table_digest(new_state)
-
-    rel = os.path.join("data", f"epoch={epoch:05d}", f"pid={pid:05d}.parquet")
-    Lake.write_state_file(new_state, os.path.join(lake_root, rel))
+    entry = stage_partition(new_state, lake_root, "epoch", epoch, pid)
 
     # materialized views: computed over the SAME post-merge state, staged
     # under deterministic names, published by the same commit — never
@@ -211,10 +217,9 @@ def merge_partition_kernel(
 
     return {
         "pid": pid,
-        "file": rel,
+        **entry,
         "views": view_files,
         "duration_sec": time.perf_counter() - t0,
-        "digest": digest,
         "metrics": metrics,
         "metrics_computed": computed,
         "metrics_failed": failed,
@@ -223,8 +228,6 @@ def merge_partition_kernel(
         **{k: getattr(stats, k) for k in _STATS_FIELDS},
     }
 
-
-# ---- Ray remote wrappers (built lazily; the library never inits Ray) --
 
 def read_wal_file(path: str) -> pa.Table:
     """Read one WAL file in either supported source format: Parquet or
@@ -252,113 +255,93 @@ def read_wal_file(path: str) -> pa.Table:
     return out
 
 
-_REMOTES: dict | None = None
+# ---- Ray tasks: plain functions, wrapped lazily (the library never inits Ray)
+
+_REMOTES: dict = {}
 
 
-def _remotes() -> dict:
-    global _REMOTES
-    if _REMOTES is None:
+def _remote(fn):
+    """``fn`` as a Ray remote function, wrapped once per process."""
+    if fn not in _REMOTES:
         import ray
 
-        @ray.remote
-        def map_files(files: list[str], P: int, salt_keys, salt_factor, cont: bool):
-            # Malformed-file policy mirrors the reference's unreadable-image
-            # handling (/root/reference/ir:384-388 None-check + counted
-            # failure): keep-going skips and logs the bad file; fail-fast
-            # propagates and the epoch never commits. OSError covers files
-            # that vanished or are unreadable at the filesystem level —
-            # the skip policy is about *unreadable inputs*, not just
-            # malformed Parquet. The final return slot carries the skip
-            # count so the run summary (and exit code) can report it
-            # honestly (/root/reference/ir:606-619 failed-count policy).
-            tables = []
-            skipped = 0
-            for f in files:
-                try:
-                    tables.append(read_wal_file(f))
-                except (pa.ArrowInvalid, OSError) as exc:
-                    if not cont:
-                        raise
-                    skipped += 1
-                    import logging
+        _REMOTES[fn] = ray.remote(fn)
+    return _REMOTES[fn]
 
-                    logging.getLogger("image_report_ray").warning(
-                        "skipping unreadable WAL file %s: %s", f, exc
-                    )
-            if not tables:
-                return tuple(pa.table({}) for _ in range(P)) + (skipped,)
-            t = concat_evolving(tables)
-            return prepare_and_split(
-                t, P, salt_keys, salt_factor, continue_on_error=cont
-            ) + (skipped,)
 
-        @ray.remote
-        def map_block(block: pa.Table, P: int, salt_keys, salt_factor, cont: bool):
-            return prepare_and_split(
-                block, P, salt_keys, salt_factor, continue_on_error=cont
-            ) + (0,)
-
-        @ray.remote
-        def merge_part(pid, prior_paths, prior_lsn, lake_root, epoch, hot_k,
-                       mnames, vnames, view_rels, *parts):
-            """COW / MOR-compaction leg: fold the prior composition
-            (base + deltas) and apply the epoch on top, writing a full
-            state file (+ any registered materialized views — only this
-            leg has the full state to compute them from).
-            ``prior_paths`` empty/None -> fresh partition. ``view_rels``
-            maps view name -> the previous committed view file (relative)
-            so maintenance can run incrementally; the conversations in
-            the MOR deltas (``prior_paths[1:]``, changes folded since
-            that view's snapshot) join the affected set."""
-            from ..state.merge import fold_state_tables
-
-            prior_tabs = (
-                [pq.read_table(p) for p in prior_paths] if prior_paths else []
+def _map_files(files: list[str], P: int, salt_keys, salt_factor, cont: bool):
+    # Malformed-file policy mirrors the reference's unreadable-image
+    # handling (reference ir:384-388 None-check + counted
+    # failure): keep-going skips and logs the bad file; fail-fast
+    # propagates and the epoch never commits. OSError covers files
+    # that vanished or are unreadable at the filesystem level —
+    # the skip policy is about *unreadable inputs*, not just
+    # malformed Parquet. The final return slot carries the skip
+    # count so the run summary (and exit code) can report it
+    # honestly (reference ir:606-619 failed-count policy).
+    tables = []
+    skipped = 0
+    for f in files:
+        try:
+            tables.append(read_wal_file(f))
+        except (pa.ArrowInvalid, OSError) as exc:
+            if not cont:
+                raise
+            skipped += 1
+            logging.getLogger("image_report_ray").warning(
+                "skipping unreadable WAL file %s: %s", f, exc
             )
-            prior = fold_state_tables(prior_tabs) if prior_tabs else None
-            prior_views: dict[str, pa.Table] = {}
-            for vname, rel in (view_rels or {}).items():
-                try:
-                    prior_views[vname] = pq.read_table(
-                        os.path.join(lake_root, rel)
-                    )
-                except (pa.ArrowInvalid, OSError):
-                    pass  # missing/corrupt previous view -> full recompute
-            affected_extra = None
-            if prior_views and len(prior_tabs) > 1:
-                affected_extra = np.unique(
-                    np.concatenate(
-                        [
-                            t.column("conv_id").to_numpy(zero_copy_only=False)
-                            for t in prior_tabs[1:]
-                        ]
-                    ).astype(object)
-                )
-            return merge_partition_kernel(
-                pid, list(parts), prior, prior_lsn, lake_root, epoch, hot_k,
-                metric_names=mnames, view_names=vnames,
-                prior_views=prior_views, affected_extra=affected_extra,
-            )
+    if not tables:
+        return tuple(pa.table({}) for _ in range(P)) + (skipped,)
+    t = concat_evolving(tables)
+    return prepare_and_split(
+        t, P, salt_keys, salt_factor, continue_on_error=cont
+    ) + (skipped,)
 
-        @ray.remote
-        def delta_part(pid, prior_lsn, lake_root, epoch, hot_k, mnames, *parts):
-            """MOR delta leg: NO prior read — the epoch's compacted
-            winners become a sorted delta file; cross-epoch resolution
-            happens at fold time (read/compaction). Epoch cost is
-            O(delta), the property that makes a 10^10-event changelog
-            tractable (Hudi/Iceberg merge-on-read, public design)."""
-            return merge_partition_kernel(
-                pid, list(parts), None, prior_lsn, lake_root, epoch, hot_k,
-                metric_names=mnames,
-            )
 
-        _REMOTES = {
-            "map_files": map_files,
-            "map_block": map_block,
-            "merge": merge_part,
-            "delta": delta_part,
-        }
-    return _REMOTES
+def _map_block(block: pa.Table, P: int, salt_keys, salt_factor, cont: bool):
+    return prepare_and_split(
+        block, P, salt_keys, salt_factor, continue_on_error=cont
+    ) + (0,)
+
+
+def _merge_part(pid, prior_paths, prior_lsn, lake_root, epoch, hot_k,
+                mnames, vnames, view_rels, *parts):
+    """The one merge task. With ``prior_paths`` it is a compaction: fold
+    the prior composition (base + deltas) and apply the epoch on top,
+    writing a full state file (+ any registered materialized views —
+    only a compaction has the full state to compute them from). Empty
+    ``prior_paths`` (a fresh partition, or a delta epoch, which gets no
+    views either) writes the epoch's compacted winners alone: a delta
+    epoch costs O(delta) and cross-epoch resolution happens at fold
+    time (Hudi/Iceberg merge-on-read, public design). ``view_rels``
+    maps view name -> the previous committed view file (relative) so
+    maintenance can run incrementally; the conversations in the
+    deltas (``prior_paths[1:]``, changes folded since that view's
+    snapshot) join the affected set."""
+    prior = read_composition(prior_paths)
+    prior_views: dict[str, pa.Table] = {}
+    for vname, rel in view_rels.items():
+        try:
+            prior_views[vname] = pq.read_table(os.path.join(lake_root, rel))
+        except (pa.ArrowInvalid, OSError):
+            pass  # missing/corrupt previous view -> full recompute
+    affected_extra = None
+    if prior_views and len(prior_paths) > 1:
+        affected_extra = np.unique(
+            np.concatenate(
+                [
+                    pq.read_table(p, columns=["conv_id"])
+                    .column("conv_id").to_numpy(zero_copy_only=False)
+                    for p in prior_paths[1:]
+                ]
+            ).astype(object)
+        )
+    return merge_partition_kernel(
+        pid, list(parts), prior, prior_lsn, lake_root, epoch, hot_k,
+        metric_names=mnames, view_names=vnames,
+        prior_views=prior_views, affected_extra=affected_extra,
+    )
 
 
 def _group_files(files: list[str], target_rows: int) -> list[list[str]]:
@@ -389,20 +372,16 @@ def submit_map_stage(
     tuples (each has P+1 object refs: one per partition, plus the task's
     skipped-file count in the last slot). ``num_returns`` is always
     >= 2, so Ray returns a real list even at ``num_partitions=1``."""
-    R = _remotes()
     P = lake.num_partitions
     args = (P, lake.salt_keys, lake.salt_factor, cfg.continue_on_error)
     if isinstance(wal, str):
         wal = [wal]
     if isinstance(wal, list):
-        groups = _group_files(wal, cfg.map_task_rows)
-        return [
-            R["map_files"].options(num_returns=P + 1).remote(g, *args)
-            for g in groups
-        ]
+        task = _remote(_map_files).options(num_returns=P + 1)
+        return [task.remote(g, *args) for g in _group_files(wal, cfg.map_task_rows)]
     # a ray.data.Dataset: execute its (lazy) plan; blocks feed split tasks.
-    refs = wal.to_arrow_refs()
-    return [R["map_block"].options(num_returns=P + 1).remote(r, *args) for r in refs]
+    task = _remote(_map_block).options(num_returns=P + 1)
+    return [task.remote(r, *args) for r in wal.to_arrow_refs()]
 
 
 def apply_epoch(
@@ -425,33 +404,29 @@ def apply_epoch(
     if lake.is_committed(epoch):
         return None
 
-    R = _remotes()
     mats = map_refs if map_refs is not None else submit_map_stage(lake, wal, cfg)
 
     from ..functions.metrics import select_metrics
 
     mnames = tuple(sorted(select_metrics(cfg.metrics)))
     current = lake.current_entries()
-    file_sets = {
-        pid: [os.path.join(lake.root, r) for r in (e.get("files") or [e["file"]])]
-        for pid, e in current.items()
-    }
     rel_sets = {
         pid: list(e.get("files") or [e["file"]]) for pid, e in current.items()
     }
     lsns = {pid: e["last_lsn"] for pid, e in current.items()}
 
+    merge = _remote(_merge_part)
     stat_refs = []
     compacted: dict[int, bool] = {}
     for pid in range(lake.num_partitions):
-        prior = file_sets.get(pid, [])
-        # MOR writes a delta unless the composition is due for compaction;
-        # COW always folds-and-rewrites (compaction every epoch). The
+        prior = [os.path.join(lake.root, r) for r in rel_sets.get(pid, [])]
+        # A delta unless the composition is due for compaction
+        # (compact_every=1 folds-and-rewrites every epoch). The
         # row-based policy (size-tiered: hot partitions compact as soon
         # as their delta chain outgrows compact_rows_factor x base rows,
         # cold ones coast to the chain-length cap) reads only parquet
         # FOOTERS — metadata, never data.
-        compact = cfg.merge_mode == "cow" or len(prior) + 1 >= cfg.compact_every
+        compact = len(prior) + 1 >= cfg.compact_every
         if (
             not compact
             and cfg.compact_rows_factor is not None
@@ -469,25 +444,20 @@ def apply_epoch(
                 pass  # unreadable footer: fall back to the length cap
         compacted[pid] = compact
         if compact:
+            views = tuple(cfg.views)
             view_rels = {
                 v: rel
                 for v, rel in (current.get(pid, {}).get("views") or {}).items()
                 if v in cfg.views
             }
-            stat_refs.append(
-                R["merge"].remote(
-                    pid, prior, lsns.get(pid, -1), lake.root, epoch, 3, mnames,
-                    tuple(cfg.views), view_rels,
-                    *[m[pid] for m in mats],
-                )
+        else:  # a delta: no prior read, no views
+            prior, views, view_rels = [], (), {}
+        stat_refs.append(
+            merge.remote(
+                pid, prior, lsns.get(pid, -1), lake.root, epoch, 3, mnames,
+                views, view_rels, *[m[pid] for m in mats],
             )
-        else:
-            stat_refs.append(
-                R["delta"].remote(
-                    pid, lsns.get(pid, -1), lake.root, epoch, 3, mnames,
-                    *[m[pid] for m in mats],
-                )
-            )
+        )
     rows = [r for r in ray.get(stat_refs) if r is not None]
 
     entries: dict[int, dict] = {}
@@ -517,25 +487,17 @@ def apply_epoch(
         )
         write_report(report, lake.lineage_path(epoch, pid))
         entries[pid] = {
-            "file": row["file"],
+            **{k: row[k] for k in _ENTRY_FIELDS},
             # composition that folds to current state: a compacted entry
             # replaces everything; a delta entry appends to the chain
             "files": (
-                [row["file"]]
-                if compacted[pid]
-                else rel_sets.get(pid, []) + [row["file"]]
+                row["files"] if compacted[pid]
+                else rel_sets.get(pid, []) + row["files"]
             ),
-            "last_lsn": int(row["last_lsn"]),
-            "rows_live": int(row["rows_live"]),
-            "tombstoned": int(row["tombstoned"]),
-            "keys_total": int(row["keys_total"]),
-            "digest": row["digest"],
-            "received": int(row["received"]),
-            "applied": int(row["applied"]),
             # view files written this epoch, else carried from the last
-            # commit (MOR delta epochs — the documented view lag)
+            # commit (delta epochs — the documented view lag)
             "views": (
-                row.get("views")
+                row["views"]
                 or (current.get(pid, {}).get("views") or {})
             ),
         }
@@ -671,7 +633,76 @@ def run_job(
     }
 
 
-# ---- tombstone GC -----------------------------------------------------
+# ---- maintenance rewrites: tombstone GC and TTL expiry ----------------
+
+
+def _old_tombstones(t: pa.Table, before_lsn: int) -> pa.ChunkedArray:
+    """GC drop predicate: tombstones with ``_lsn < before_lsn``."""
+    return pc.and_(t.column(DELETED_COL), pc.less(t.column(LSN_COL), before_lsn))
+
+
+def _expired_turns(t: pa.Table, cutoff_us: int) -> pa.ChunkedArray:
+    """Expiry drop predicate: live turns with ``ts`` before ``cutoff_us``."""
+    return pc.and_(
+        pc.invert(t.column(DELETED_COL)),
+        pc.fill_null(
+            pc.less(t.column("ts"), pa.scalar(cutoff_us, pa.timestamp("us"))),
+            False,
+        ),
+    )
+
+
+def _rewrite_part(pid, paths, lake_root, seq, drop, arg, old_entry):
+    """The one maintenance task: fold the partition's composition (a
+    rewrite implies compaction), drop the rows ``drop(t, arg)`` marks and
+    stage the rest as ``gc=seq``. Returns (commit entry, rows dropped)."""
+    t = read_composition(paths)
+    kept = t.filter(pc.invert(drop(t, arg)))
+    entry = stage_partition(kept, lake_root, "gc", seq, pid)
+    entry.update({k: old_entry[k] for k in ("last_lsn", "received", "applied")})
+    return entry, t.num_rows - kept.num_rows
+
+
+def _maintenance_rewrite(
+    lake: Lake, drop, arg, *, commit_noop: bool
+) -> tuple[int | None, int, int]:
+    """Rewrite every partition's current state, one ``_rewrite_part``
+    task per partition, and publish the result as a ``gc=N`` commit
+    record. It folds after the epochs it compacted and before any later
+    WAL epoch (see ``Lake.current_entries``); a crash before the record
+    lands leaves only invisible staging files. A rewrite that dropped
+    nothing publishes only if ``commit_noop``. Returns ``(gc_seq,
+    partitions, rows dropped)``, ``gc_seq`` None when nothing was
+    committed. The rewritten entries carry no views (recomputed at the
+    next compaction, never served stale)."""
+    import ray
+
+    current = lake.current_entries()
+    if not current:
+        return None, 0, 0
+    after_epoch = max(e["epoch"] for e in current.values())
+    seqs = lake.gc_seqs()
+    seq = seqs[-1] + 1 if seqs else 0
+    rewrite = _remote(_rewrite_part)
+    pids = sorted(current)
+    results = ray.get([
+        rewrite.remote(
+            pid,
+            [os.path.join(lake.root, r)
+             for r in (current[pid].get("files") or [current[pid]["file"]])],
+            lake.root, seq, drop, arg, current[pid],
+        )
+        for pid in pids
+    ])
+    dropped = sum(n for _, n in results)
+    if not dropped and not commit_noop:
+        # the staged files of this no-op stay invisible, same as any
+        # crash-before-commit orphan
+        return None, 0, 0
+    lake.commit_gc(
+        seq, after_epoch, {pid: e for pid, (e, _) in zip(pids, results)}
+    )
+    return seq, len(pids), dropped
 
 
 def gc_tombstones(lake: Lake, *, before_lsn: int) -> dict:
@@ -684,99 +715,56 @@ def gc_tombstones(lake: Lake, *, before_lsn: int) -> dict:
     being suppressed by its tombstone — that is the retention trade-off,
     the same one every CDC lake makes.
 
-    Publishes as a ``gc=N`` commit record that folds after the epochs it
-    compacted and before any later WAL epoch (see
-    ``Lake.current_entries``); crash before the record lands leaves only
-    invisible staging files. Rewrites run as one Ray task per partition.
-    """
-    import ray
-
-    R = _gc_remote()
-    entries_now = lake.current_entries()
-    if not entries_now:
+    A maintenance rewrite (:func:`_maintenance_rewrite`) that always
+    commits, even when no tombstone qualified."""
+    seq, parts, dropped = _maintenance_rewrite(
+        lake, _old_tombstones, before_lsn, commit_noop=True
+    )
+    if seq is None:
         return {"partitions": 0, "tombstones_dropped": 0}
-    after_epoch = max(e["epoch"] for e in entries_now.values())
-    seq = (lake.gc_seqs()[-1] + 1) if lake.gc_seqs() else 0
-    refs = {
-        pid: R.remote(
-            pid,
-            [os.path.join(lake.root, r) for r in (e.get("files") or [e["file"]])],
-            lake.root, seq, before_lsn, e,
-        )
-        for pid, e in sorted(entries_now.items())
-    }
-    results = {pid: ray.get(r) for pid, r in refs.items()}
-    new_entries = {pid: res[0] for pid, res in results.items()}
-    dropped = sum(res[1] for res in results.values())
-    lake.commit_gc(seq, after_epoch, new_entries)
     return {
-        "partitions": len(new_entries),
+        "partitions": parts,
         "tombstones_dropped": dropped,
         "gc_seq": seq,
         "before_lsn": before_lsn,
     }
 
 
-_GC_REMOTE = None
+def expire_turns(
+    lake: Lake, before_ts_us: int, cfg: EngineConfig | None = None
+) -> dict:
+    """TTL retention: physically drop every LIVE turn whose ``ts`` is
+    older than ``before_ts_us`` (epoch microseconds) from the current
+    state — the data-retention / PII-expiry maintenance pass a
+    transcript lake runs on schedule.
 
+    Shape: a maintenance rewrite (:func:`_maintenance_rewrite`, the
+    tombstone-GC path) published as a ``gc=N`` commit — NOT a tombstone
+    epoch. That keeps the lsn space untouched: expiry consumes no event
+    lsns and no WAL epoch number, so a future change event can never
+    lose LWW to an expiry artifact — a later insert legitimately
+    re-creates the key, while redeliveries at or below the unchanged
+    ``last_lsn`` watermark still dedup. Existing delete tombstones are
+    kept (late-duplicate safety). Idempotent: nothing to expire -> no
+    commit. Compliance note: the rewrite removes expired rows from the
+    CURRENT state and from any snapshot at or after the gc fold point;
+    older epoch FILES are immutable and still hold the bytes — physical
+    destruction additionally needs a file vacuum.
 
-def _gc_remote():
-    global _GC_REMOTE
-    if _GC_REMOTE is None:
-        import ray
-
-        @ray.remote
-        def gc_partition(pid, paths, lake_root, seq, before_lsn, old_entry):
-            from ..schema import DELETED_COL, LSN_COL
-            from ..state.merge import fold_state_tables
-
-            # GC implies compaction: fold the composition, then drop
-            t = fold_state_tables([pq.read_table(p) for p in paths])
-            drop = pc.and_(
-                t.column(DELETED_COL),
-                pc.less(t.column(LSN_COL), before_lsn),
-            )
-            kept = t.filter(pc.invert(drop))
-            n_dropped = t.num_rows - kept.num_rows
-            rel = os.path.join("data", f"gc={seq:05d}", f"pid={pid:05d}.parquet")
-            Lake.write_state_file(kept, os.path.join(lake_root, rel))
-            deleted = kept.column(DELETED_COL)
-            tomb = int(pc.sum(pc.cast(deleted, pa.int64())).as_py() or 0)
-            entry = {
-                **{k: old_entry[k] for k in ("last_lsn", "received", "applied")},
-                "file": rel,
-                "files": [rel],
-                "rows_live": kept.num_rows - tomb,
-                "tombstoned": tomb,
-                "keys_total": kept.num_rows,
-                "digest": table_digest(kept),
-            }
-            return entry, n_dropped
-
-        _GC_REMOTE = gc_partition
-    return _GC_REMOTE
+    ``cfg`` is accepted for interface symmetry; the rewrite derives
+    everything from the lake itself."""
+    seq, _, expired = _maintenance_rewrite(
+        lake, _expired_turns, before_ts_us, commit_noop=False
+    )
+    return {"expired": int(expired), "gc_seq": seq}
 
 
 # ---- canonical state export ------------------------------------------
 
 
-_FOLD_REMOTE = None
-
-
-def _fold_remote():
-    global _FOLD_REMOTE
-    if _FOLD_REMOTE is None:
-        import ray
-
-        @ray.remote
-        def fold_canonical(paths: list[str]) -> pa.Table:
-            from ..state.merge import fold_state_tables
-
-            folded = fold_state_tables([pq.read_table(p) for p in paths])
-            return export_canonical(folded) if folded is not None else pa.table({})
-
-        _FOLD_REMOTE = fold_canonical
-    return _FOLD_REMOTE
+def _canonical_block(paths: list[str]) -> pa.Table:
+    t = read_canonical(paths)
+    return pa.table({}) if t is None else t
 
 
 def canonical_state_dataset(lake: Lake, as_of: int | None = None):
@@ -792,7 +780,7 @@ def canonical_state_dataset(lake: Lake, as_of: int | None = None):
     sets = lake.current_file_sets(as_of)
     if not sets:
         raise ValueError("lake has no committed state")
-    fold = _fold_remote()
+    fold = _remote(_canonical_block)
     refs = [fold.remote(paths) for _, paths in sorted(sets.items())]
     return rd.from_arrow_refs(refs)
 
@@ -801,146 +789,107 @@ def canonical_state_table(lake: Lake, as_of: int | None = None) -> pa.Table:
     """Globally sorted canonical table — small-scale testing/export only
     (the oracle-equality comparison surface). ``as_of`` reads the
     manifest's epoch snapshot (time travel) instead of the head."""
-    from ..state.merge import fold_state_tables
-
     sets = lake.current_file_sets(as_of)
-    if not sets:
-        return pa.table({})
-    tables = []
-    for _, paths in sorted(sets.items()):
-        folded = fold_state_tables([pq.read_table(p) for p in paths])
-        if folded is not None:
-            tables.append(export_canonical(folded))
+    tables = [
+        t for t in (read_canonical(p) for _, p in sorted(sets.items()))
+        if t is not None
+    ]
     if not tables:
         return pa.table({})
-    t = concat_evolving(tables)
-    return t.take(
-        pc.sort_indices(t, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")])
+    return sort_canonical(concat_evolving(tables))
+
+
+# ---- state migrations: reshard and bootstrap -------------------------
+
+
+def _split_state(paths: list, P: int):
+    """Reshard source task: fold one partition's composition and route
+    it into ``P`` slices."""
+    folded = read_composition(paths)
+    if folded is None:
+        return tuple(pa.table({}) for _ in range(P))
+    return _split_by_pid(folded, P)
+
+
+def _split_boot(block: pa.Table, P: int):
+    """Bootstrap source task: reject null keys, give every row ``_lsn =
+    -1`` and no tombstone, and route the block into ``P`` slices."""
+    for key_col in ("conv_id", "turn_idx"):
+        col = block.column(key_col)
+        if col.null_count:
+            raise ValueError(
+                f"bootstrap source has {col.null_count} null "
+                f"{key_col} values — key columns must be non-null"
+            )
+    t = block.append_column(
+        LSN_COL, pa.array(np.full(block.num_rows, -1, np.int64))
+    ).append_column(
+        DELETED_COL, pa.array(np.zeros(block.num_rows, bool))
     )
+    return _split_by_pid(t, P)
 
 
-def expire_turns(
-    lake: Lake, before_ts_us: int, cfg: EngineConfig | None = None
-) -> dict:
-    """TTL retention: physically drop every LIVE turn whose ``ts`` is
-    older than ``before_ts_us`` (epoch microseconds) from the current
-    state — the data-retention / PII-expiry maintenance pass a
-    transcript lake runs on schedule.
+def _write_migrated(pid: int, root: str, epoch: int, last_lsn: int,
+                    unique_keys: bool, *slices):
+    """The one migration writer: concat a destination partition's slices
+    in source order, sort canonically, stage it and return ``(commit
+    entry, seconds)``; ``None`` for an empty partition (absent from the
+    manifest). ``unique_keys`` (bootstrap, whose source is foreign)
+    rejects duplicate ``(conv_id, turn_idx)`` keys."""
+    t0 = time.perf_counter()
+    parts = [s for s in slices if s.num_rows]
+    if not parts:
+        return None
+    t = sort_canonical(concat_evolving(parts))
+    # sorted, so any duplicate is adjacent (keys are partition-local —
+    # complete)
+    if unique_keys and t.num_rows > 1:
+        conv = t.column("conv_id").to_numpy(zero_copy_only=False)
+        turn = t.column("turn_idx").to_numpy()
+        dup = (conv[1:] == conv[:-1]) & (turn[1:] == turn[:-1])
+        if dup.any():
+            i = int(np.flatnonzero(dup)[0])
+            raise ValueError(
+                "bootstrap source has duplicate (conv_id, turn_idx) "
+                f"keys, e.g. ({conv[i]!r}, {int(turn[i])})"
+            )
+    entry = stage_partition(t, root, "epoch", epoch, pid)
+    entry.update(last_lsn=last_lsn, received=0, applied=0, views={})
+    return entry, time.perf_counter() - t0
 
-    Shape: a GC-style rewrite (one Ray task per partition folds its
-    composition, filters the expired rows, writes a compacted file)
-    published as a ``gc=N`` commit — NOT a tombstone epoch. That keeps
-    the lsn space untouched: expiry consumes no event lsns and no WAL
-    epoch number, so a future change event can never lose LWW to an
-    expiry artifact — a later insert legitimately re-creates the key,
-    while redeliveries at or below the unchanged ``last_lsn`` watermark
-    still dedup. Existing delete tombstones are kept (late-duplicate
-    safety). Idempotent: nothing to expire -> no commit. Views are
-    dropped from the gc entries (recomputed at the next epoch commit),
-    never served stale. Compliance note: the rewrite removes expired
-    rows from the CURRENT state and from any snapshot at or after the
-    gc fold point; older epoch FILES are immutable and still hold the
-    bytes — physical destruction additionally needs a file vacuum.
 
-    ``cfg`` is accepted for interface symmetry; the rewrite derives
-    everything from the lake itself."""
+def _migrate(dst: Lake, epoch: int, cols: list, last_lsn: int,
+             unique_keys: bool, params: dict) -> int:
+    """Shared tail of the state migrations: one :func:`_write_migrated`
+    task per destination partition consumes its column of the source
+    tasks' slices; then write each partition's lineage report and
+    publish the commit. Returns total keys written."""
     import ray
 
-    entries_now = lake.current_entries()
-    if not entries_now:
-        return {"expired": 0, "gc_seq": None}
-    after_epoch = max(e["epoch"] for e in entries_now.values())
-    seq = (lake.gc_seqs()[-1] + 1) if lake.gc_seqs() else 0
-
-    @ray.remote
-    def expire_partition(pid, paths, lake_root, seq_, cutoff_us, old_entry):
-        from ..state.merge import fold_state_tables
-
-        t = fold_state_tables([pq.read_table(p) for p in paths])
-        drop = pc.and_(
-            pc.invert(t.column(DELETED_COL)),
-            pc.fill_null(
-                pc.less(
-                    t.column("ts"), pa.scalar(cutoff_us, pa.timestamp("us"))
-                ),
-                False,
-            ),
-        )
-        kept = t.filter(pc.invert(drop))
-        n_dropped = t.num_rows - kept.num_rows
-        rel = os.path.join("data", f"gc={seq_:05d}", f"pid={pid:05d}.parquet")
-        Lake.write_state_file(kept, os.path.join(lake_root, rel))
-        tomb = int(
-            pc.sum(pc.cast(kept.column(DELETED_COL), pa.int64())).as_py() or 0
-        )
-        entry = {
-            **{k: old_entry[k] for k in ("last_lsn", "received", "applied")},
-            "file": rel,
-            "files": [rel],
-            "rows_live": kept.num_rows - tomb,
-            "tombstoned": tomb,
-            "keys_total": kept.num_rows,
-            "digest": table_digest(kept),
-        }
-        return entry, n_dropped
-
-    refs = {
-        pid: expire_partition.remote(
-            pid,
-            [os.path.join(lake.root, r) for r in (e.get("files") or [e["file"]])],
-            lake.root, seq, before_ts_us, e,
-        )
-        for pid, e in sorted(entries_now.items())
-    }
-    results = {pid: ray.get(r) for pid, r in refs.items()}
-    n_expired = sum(res[1] for res in results.values())
-    if n_expired == 0:
-        # nothing expired anywhere: no commit (staged files of this
-        # no-op stay invisible, same as any crash-before-commit orphan)
-        return {"expired": 0, "gc_seq": None}
-    lake.commit_gc(seq, after_epoch, {p: r[0] for p, r in results.items()})
-    return {"expired": int(n_expired), "gc_seq": int(seq)}
-
-
-def _commit_migration(lake: Lake, epoch: int, rows: list, params: dict) -> int:
-    """Shared tail of the state migrations (reshard / bootstrap): build
-    each partition's MergeStats + lineage report + commit entry from its
-    writer row, publish the commit; returns total keys written."""
+    P = dst.num_partitions
+    if P == 1:  # num_returns=1 yields a bare ref
+        cols = [[c] for c in cols]
+    write = _remote(_write_migrated)
+    results = ray.get([
+        write.remote(pid, dst.root, epoch, last_lsn, unique_keys,
+                     *[col[pid] for col in cols])
+        for pid in range(P)
+    ])
     entries: dict[int, dict] = {}
-    total = 0
-    for row in rows:
-        if row is None:
+    for pid, res in enumerate(results):
+        if res is None:
             continue
-        pid = int(row["pid"])
-        stats = MergeStats(
-            **{k: 0 for k in _STATS_FIELDS
-               if k not in ("rows_live", "tombstoned", "keys_total", "last_lsn")},
-            rows_live=int(row["rows_live"]),
-            tombstoned=int(row["tombstoned"]),
-            keys_total=int(row["keys_total"]),
-            last_lsn=int(row["last_lsn"]),
-            hot_keys=[],
-        )
+        entry, seconds = res
+        stats = MergeStats(**{k: entry[k] for k in (
+            "rows_live", "tombstoned", "keys_total", "last_lsn")})
         report = build_partition_report(
-            pid=pid, epoch=epoch, stats=stats, digest=row["digest"],
-            duration_sec=float(row["duration_sec"]), params=params,
+            pid=pid, epoch=epoch, stats=stats, digest=entry["digest"],
+            duration_sec=seconds, params=params,
         )
-        write_report(report, lake.lineage_path(epoch, pid))
-        total += int(row["keys_total"])
-        entries[pid] = {
-            "file": row["file"],
-            "files": [row["file"]],
-            "last_lsn": int(row["last_lsn"]),
-            "rows_live": int(row["rows_live"]),
-            "tombstoned": int(row["tombstoned"]),
-            "keys_total": int(row["keys_total"]),
-            "digest": row["digest"],
-            "received": 0,
-            "applied": 0,
-            "views": {},
-        }
-    lake.commit(epoch, entries)
-    return total
+        write_report(report, dst.lineage_path(epoch, pid))
+        entries[pid] = entry
+    dst.commit(epoch, entries)
+    return sum(e["keys_total"] for e in entries.values())
 
 
 def reshard_lake(src: Lake, dst_root: str, new_partitions: int) -> dict:
@@ -960,69 +909,19 @@ def reshard_lake(src: Lake, dst_root: str, new_partitions: int) -> dict:
     anything delivered after the cutover. The migration commits at the
     source's max committed epoch, so the WAL stream resumes at the next
     epoch number with no renumbering."""
-    import ray
-
     src_entries = src.current_entries()
     if not src_entries:
         raise ValueError("source lake has no committed state")
     global_lsn = max(int(e["last_lsn"]) for e in src_entries.values())
     epoch = max(src.committed_epochs())
     dst = Lake(dst_root, num_partitions=new_partitions)
-
-    @ray.remote
-    def split_src(paths: list, P: int):
-        from ..state.merge import fold_state_tables
-
-        folded = fold_state_tables([pq.read_table(p) for p in paths])
-        if folded is None:
-            return tuple(pa.table({}) for _ in range(P))
-        return _split_by_pid(folded, P)
-
-    @ray.remote
-    def write_dst(pid: int, lsn: int, root: str, ep: int, *slices) -> dict:
-        t0 = time.perf_counter()
-        parts = [s for s in slices if s.num_rows]
-        if not parts:  # empty dest partition: absent from the manifest
-            return None
-        t = concat_evolving(parts)
-        t = t.take(
-            pc.sort_indices(
-                t,
-                sort_keys=[("conv_id", "ascending"),
-                           ("turn_idx", "ascending")],
-            )
-        )
-        rel = os.path.join("data", f"epoch={ep:05d}", f"pid={pid:05d}.parquet")
-        Lake.write_state_file(t, os.path.join(root, rel))
-        tomb = int(
-            pc.sum(pc.cast(t.column(DELETED_COL), pa.int64())).as_py() or 0
-        )
-        return {
-            "pid": pid,
-            "file": rel,
-            "rows_live": t.num_rows - tomb,
-            "tombstoned": tomb,
-            "keys_total": t.num_rows,
-            "last_lsn": lsn,
-            "digest": table_digest(t),
-            "duration_sec": time.perf_counter() - t0,
-        }
-
-    sets = src.current_file_sets()
+    split = _remote(_split_state).options(num_returns=new_partitions)
     cols = [
-        split_src.options(num_returns=new_partitions).remote(paths, new_partitions)
-        for _, paths in sorted(sets.items())
+        split.remote(paths, new_partitions)
+        for _, paths in sorted(src.current_file_sets().items())
     ]
-    if new_partitions == 1:  # num_returns=1 yields a bare ref
-        cols = [[c] for c in cols]
-    entry_refs = [
-        write_dst.remote(
-            pid, global_lsn, dst.root, epoch, *[col[pid] for col in cols]
-        )
-        for pid in range(new_partitions)
-    ]
-    moved = _commit_migration(
-        dst, epoch, ray.get(entry_refs),
+    moved = _migrate(
+        dst, epoch, cols, global_lsn, False,
         {"num_partitions": new_partitions,
          "resharded_from": src.num_partitions},
     )
@@ -1045,82 +944,21 @@ def bootstrap_lake(
     event (lsn >= 0) LWW-wins over the bootstrap row, and the -1
     checkpoint watermark means nothing is ever mistaken for a duplicate
     delivery. Commits at ``epoch`` (default 0); start the WAL at
-    ``epoch + 1``. Same exchange shape as :func:`reshard_lake`: split
-    tasks route rows, one writer per destination partition."""
-    import ray
+    ``epoch + 1``. Same exchange shape and writer as
+    :func:`reshard_lake`: split tasks route rows, one writer per
+    destination partition."""
     import ray.data as rd
 
     lake = Lake(lake_root, num_partitions=num_partitions)
     if lake.committed_epochs():
         raise ValueError("bootstrap target lake already has commits")
-
-    @ray.remote
-    def split_block(block: pa.Table, P: int):
-        for key_col in ("conv_id", "turn_idx"):
-            col = block.column(key_col)
-            if col.null_count:
-                raise ValueError(
-                    f"bootstrap source has {col.null_count} null "
-                    f"{key_col} values — key columns must be non-null"
-                )
-        t = block.append_column(
-            LSN_COL, pa.array(np.full(block.num_rows, -1, np.int64))
-        ).append_column(
-            DELETED_COL, pa.array(np.zeros(block.num_rows, bool))
-        )
-        return _split_by_pid(t, P)
-
-    @ray.remote
-    def write_boot(pid: int, root: str, ep: int, *slices) -> dict | None:
-        t0 = time.perf_counter()
-        parts = [s for s in slices if s.num_rows]
-        if not parts:
-            return None
-        t = concat_evolving(parts)
-        t = t.take(
-            pc.sort_indices(
-                t,
-                sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")],
-            )
-        )
-        # the (conv_id, turn_idx) key must be unique: sorted, so any
-        # duplicate is adjacent (keys are partition-local — complete)
-        if t.num_rows > 1:
-            conv = t.column("conv_id").to_numpy(zero_copy_only=False)
-            turn = t.column("turn_idx").to_numpy()
-            dup = (conv[1:] == conv[:-1]) & (turn[1:] == turn[:-1])
-            if dup.any():
-                i = int(np.flatnonzero(dup)[0])
-                raise ValueError(
-                    "bootstrap source has duplicate (conv_id, turn_idx) "
-                    f"keys, e.g. ({conv[i]!r}, {int(turn[i])})"
-                )
-        rel = os.path.join("data", f"epoch={ep:05d}", f"pid={pid:05d}.parquet")
-        Lake.write_state_file(t, os.path.join(root, rel))
-        return {
-            "pid": pid,
-            "file": rel,
-            "rows_live": t.num_rows,
-            "tombstoned": 0,
-            "keys_total": t.num_rows,
-            "last_lsn": -1,
-            "digest": table_digest(t),
-            "duration_sec": time.perf_counter() - t0,
-        }
-
-    blocks = rd.read_parquet(src_parquet).to_arrow_refs()
+    split = _remote(_split_boot).options(num_returns=num_partitions)
     cols = [
-        split_block.options(num_returns=num_partitions).remote(b, num_partitions)
-        for b in blocks
+        split.remote(b, num_partitions)
+        for b in rd.read_parquet(src_parquet).to_arrow_refs()
     ]
-    if num_partitions == 1:
-        cols = [[c] for c in cols]
-    entry_refs = [
-        write_boot.remote(pid, lake.root, epoch, *[col[pid] for col in cols])
-        for pid in range(num_partitions)
-    ]
-    loaded = _commit_migration(
-        lake, epoch, ray.get(entry_refs),
+    loaded = _migrate(
+        lake, epoch, cols, -1, True,
         {"num_partitions": num_partitions, "bootstrap": True},
     )
     return {"epoch": int(epoch), "rows_loaded": int(loaded)}
@@ -1183,34 +1021,11 @@ def diff_snapshots(
         else:
             typ = pa.string()
         cols[c] = pa.Array.from_pandas(src, type=typ)
-    t = pa.table(cols)
-    return t.take(
-        pc.sort_indices(
-            t, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
-        )
-    )
+    return sort_canonical(pa.table(cols))
 
 
-_FEED_REMOTE = None
-
-
-def _feed_remote():
-    global _FEED_REMOTE
-    if _FEED_REMOTE is None:
-        import ray
-
-        @ray.remote
-        def part_feed(paths0: list, paths1: list) -> pa.Table:
-            from ..state.merge import export_canonical, fold_state_tables
-
-            def snap(paths: list) -> "pa.Table | None":
-                folded = fold_state_tables([pq.read_table(p) for p in paths])
-                return None if folded is None else export_canonical(folded)
-
-            return diff_snapshots(snap(paths0), snap(paths1))
-
-        _FEED_REMOTE = part_feed
-    return _FEED_REMOTE
+def _part_feed(paths0: list, paths1: list) -> pa.Table:
+    return diff_snapshots(read_canonical(paths0), read_canonical(paths1))
 
 
 def changefeed_range_refs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
@@ -1238,9 +1053,9 @@ def changefeed_range_refs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
     )
     sets0 = lake.current_file_sets(as_of=from_epoch) if has_base else {}
     sets1 = lake.current_file_sets(as_of=to_epoch)
-    R = _feed_remote()
+    feed = _remote(_part_feed)
     return [
-        R.remote(sets0.get(pid, []), sets1.get(pid, []))
+        feed.remote(sets0.get(pid, []), sets1.get(pid, []))
         for pid in sorted(set(sets0) | set(sets1))
     ]
 
@@ -1268,12 +1083,7 @@ def changefeed_range(lake: Lake, from_epoch: int, to_epoch: int) -> pa.Table:
              "conv_id": pa.array([], pa.string()),
              "turn_idx": pa.array([], pa.int32())}
         )
-    t = concat_evolving(tabs)
-    return t.take(
-        pc.sort_indices(
-            t, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
-        )
-    )
+    return sort_canonical(concat_evolving(tabs))
 
 
 def changefeed(lake: Lake, epoch: int) -> pa.Table:

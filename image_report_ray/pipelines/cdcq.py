@@ -229,17 +229,11 @@ def cdc_conv_summary(sf_dir: str) -> pa.Table:
     def summarize(lake):
         @ray.remote
         def part_summary(paths: list) -> pa.Table:
-            import pyarrow.parquet as pq
+            from image_report_ray.state.manifest import read_canonical
 
-            from image_report_ray.state.merge import (
-                export_canonical,
-                fold_state_tables,
-            )
-
-            folded = fold_state_tables([pq.read_table(p) for p in paths])
-            if folded is None:
+            t = read_canonical(paths)
+            if t is None:
                 return pa.table({})
-            t = export_canonical(folded)
             g = t.group_by(["conv_id"]).aggregate(
                 [([], "count_all"), ("ts", "max")]
             )
@@ -340,17 +334,12 @@ def cdc_loop_detect(sf_dir: str) -> pa.Table:
         def part_loops(paths: list) -> pa.Table:
             import numpy as np
             import pandas as pd
-            import pyarrow.parquet as pq
 
-            from image_report_ray.state.merge import (
-                export_canonical,
-                fold_state_tables,
-            )
+            from image_report_ray.state.manifest import read_canonical
 
-            folded = fold_state_tables([pq.read_table(p) for p in paths])
-            if folded is None:
+            t = read_canonical(paths)  # sorted by (conv_id, turn_idx)
+            if t is None:
                 return pa.table({})
-            t = export_canonical(folded)  # sorted by (conv_id, turn_idx)
             conv = t.column("conv_id").to_numpy(zero_copy_only=False)
             dup = pd.DataFrame(
                 {"c": conv,
@@ -404,17 +393,12 @@ def cdc_role_stats(sf_dir: str) -> pa.Table:
         @ray.remote
         def part_profile(paths: list) -> pa.Table:
             import pyarrow.compute as pc
-            import pyarrow.parquet as pq
 
-            from image_report_ray.state.merge import (
-                export_canonical,
-                fold_state_tables,
-            )
+            from image_report_ray.state.manifest import read_canonical
 
-            folded = fold_state_tables([pq.read_table(p) for p in paths])
-            if folded is None:
+            t = read_canonical(paths)
+            if t is None:
                 return pa.table({})
-            t = export_canonical(folded)
             role = t.column("role")
             aug = pa.table(
                 {
@@ -504,18 +488,14 @@ def cdc_incremental_dedup(
     @ray.remote
     def part_fingerprints(paths: list) -> pa.Table:
         import numpy as np
-        import pyarrow.parquet as pq
 
         from image_report_ray.pipelines.dedup import hash_utf8_64
-        from image_report_ray.state.merge import (
-            export_canonical,
-            fold_state_tables,
-        )
+        from image_report_ray.state.manifest import read_canonical
 
-        folded = fold_state_tables([pq.read_table(p) for p in paths])
-        if folded is None:
+        t = read_canonical(paths)
+        if t is None:
             return pa.table({"h": pa.array([], pa.uint64())})
-        txt = export_canonical(folded).column("text")
+        txt = t.column("text")
         h = np.unique(hash_utf8_64(txt))
         return pa.table({"h": pa.array(h, pa.uint64())})
 
@@ -631,22 +611,17 @@ def cdc_state_diff(sf_dir: str) -> pa.Table:
     def part_diff(paths0: list, paths1: list) -> pa.Table:
         import numpy as np
         import pandas as pd
-        import pyarrow.parquet as pq
 
-        from image_report_ray.state.merge import (
-            export_canonical,
-            fold_state_tables,
-        )
+        from image_report_ray.state.manifest import read_canonical
 
         def snap(paths: list) -> pd.DataFrame:
-            folded = fold_state_tables([pq.read_table(p) for p in paths])
-            if folded is None:
+            t = read_canonical(paths)
+            if t is None:
                 return pd.DataFrame(
                     {"conv_id": pd.Series([], dtype="object"),
                      "turn_idx": pd.Series([], dtype="int64"),
                      "text": pd.Series([], dtype="object")}
                 )
-            t = export_canonical(folded)
             return pd.DataFrame(
                 {"conv_id": t.column("conv_id").to_numpy(zero_copy_only=False),
                  "turn_idx": t.column("turn_idx").to_numpy().astype("int64"),
@@ -724,17 +699,12 @@ def cdc_tool_transitions(sf_dir: str) -> pa.Table:
         @ray.remote
         def part_trans(paths: list) -> pa.Table:
             import numpy as np
-            import pyarrow.parquet as pq
 
-            from image_report_ray.state.merge import (
-                export_canonical,
-                fold_state_tables,
-            )
+            from image_report_ray.state.manifest import read_canonical
 
-            folded = fold_state_tables([pq.read_table(p) for p in paths])
-            if folded is None:
+            t = read_canonical(paths)  # sorted (conv_id, turn_idx)
+            if t is None:
                 return pa.table({})
-            t = export_canonical(folded)  # sorted (conv_id, turn_idx)
             mask = t.column("tool").is_valid().to_numpy(zero_copy_only=False)
             conv = t.column("conv_id").to_numpy(zero_copy_only=False)[mask]
             tool = t.column("tool").to_numpy(zero_copy_only=False)[mask]
@@ -783,17 +753,12 @@ def cdc_flatten_transcripts(sf_dir: str) -> pa.Table:
         @ray.remote
         def part_flatten(paths: list) -> pa.Table:
             import numpy as np
-            import pyarrow.parquet as pq
 
-            from image_report_ray.state.merge import (
-                export_canonical,
-                fold_state_tables,
-            )
+            from image_report_ray.state.manifest import read_canonical
 
-            folded = fold_state_tables([pq.read_table(p) for p in paths])
-            if folded is None:
+            t = read_canonical(paths)  # sorted (conv_id, turn_idx)
+            if t is None:
                 return pa.table({})
-            t = export_canonical(folded)  # sorted (conv_id, turn_idx)
             conv = t.column("conv_id").to_numpy(zero_copy_only=False)
             role = t.column("role").to_numpy(zero_copy_only=False)
             text = t.column("text").to_numpy(zero_copy_only=False)
@@ -853,21 +818,16 @@ def cdc_export_conversations(sf_dir: str) -> pa.Table:
         def part_export(paths: list) -> pa.Table:
             import numpy as np
             import pandas as pd
-            import pyarrow.parquet as pq
 
             from image_report_ray.pipelines.text import (
                 _quality_batch,
                 _repetition_batch,
             )
-            from image_report_ray.state.merge import (
-                export_canonical,
-                fold_state_tables,
-            )
+            from image_report_ray.state.manifest import read_canonical
 
-            folded = fold_state_tables([pq.read_table(p) for p in paths])
-            if folded is None:
+            t = read_canonical(paths)  # sorted (conv_id, turn_idx)
+            if t is None:
                 return pa.table({})
-            t = export_canonical(folded)  # sorted (conv_id, turn_idx)
             conv = t.column("conv_id").to_numpy(zero_copy_only=False)
             role = t.column("role").to_numpy(zero_copy_only=False)
             text = t.column("text").to_numpy(zero_copy_only=False)
@@ -952,22 +912,16 @@ def cdc_dedup_conversations(sf_dir: str) -> pa.Table:
 
     @ray.remote
     def part_digest(paths: list) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        from image_report_ray.state.merge import (
-            export_canonical,
-            fold_state_tables,
-        )
+        from image_report_ray.state.manifest import read_canonical
 
         empty = pa.table(
             {"h": pa.array([], pa.binary(16)),
              "conv_id": pa.array([], pa.string()),
              "n_turns": pa.array([], pa.int64())}
         )
-        folded = fold_state_tables([pq.read_table(p) for p in paths])
-        if folded is None:
+        t = read_canonical(paths)  # sorted (conv_id, turn_idx)
+        if t is None:
             return empty
-        t = export_canonical(folded)  # sorted (conv_id, turn_idx)
         if t.num_rows == 0:
             return empty
         conv = t.column("conv_id").to_numpy(zero_copy_only=False)
@@ -1108,17 +1062,11 @@ def cdc_conv_gaps(sf_dir: str) -> pa.Table:
 
     @ray.remote
     def part_gaps(paths: list) -> pa.Table:
-        import pyarrow.parquet as pq
+        from image_report_ray.state.manifest import read_canonical
 
-        from image_report_ray.state.merge import (
-            export_canonical,
-            fold_state_tables,
-        )
-
-        folded = fold_state_tables([pq.read_table(p) for p in paths])
-        if folded is None:
+        t = read_canonical(paths)
+        if t is None:
             return pa.table({})
-        t = export_canonical(folded)
         if t.num_rows == 0:
             return pa.table({})
         conv = t.column("conv_id").to_numpy(zero_copy_only=False)
@@ -1192,17 +1140,11 @@ def cdc_tool_cooccurrence(sf_dir: str) -> pa.Table:
 
     @ray.remote
     def part_pairs(paths: list) -> pa.Table:
-        import pyarrow.parquet as pq
+        from image_report_ray.state.manifest import read_canonical
 
-        from image_report_ray.state.merge import (
-            export_canonical,
-            fold_state_tables,
-        )
-
-        folded = fold_state_tables([pq.read_table(p) for p in paths])
-        if folded is None:
+        t = read_canonical(paths)
+        if t is None:
             return pa.table({})
-        t = export_canonical(folded)
         t = t.filter(pc.is_valid(t.column("tool")))
         if t.num_rows == 0:
             return pa.table({})
@@ -1383,12 +1325,8 @@ def cdc_conv_activity(sf_dir: str) -> pa.Table:
     @ray.remote
     def part_join(paths: list, *ev_parts) -> pa.Table:
         import numpy as np
-        import pyarrow.parquet as pq
 
-        from image_report_ray.state.merge import (
-            export_canonical,
-            fold_state_tables,
-        )
+        from image_report_ray.state.manifest import read_canonical
 
         empty = pa.table(
             {"conv_id": pa.array([], pa.string()),
@@ -1396,10 +1334,9 @@ def cdc_conv_activity(sf_dir: str) -> pa.Table:
              "n_events": pa.array([], pa.int64()),
              "last_event_ts_us": pa.array([], pa.int64())}
         )
-        folded = fold_state_tables([pq.read_table(p) for p in paths])
-        if folded is None:
+        st = read_canonical(paths)
+        if st is None:
             return empty
-        st = export_canonical(folded)
         if st.num_rows == 0:
             return empty
         conv = pa.table({"conv_id": st.column("conv_id")}).group_by(
@@ -1477,17 +1414,11 @@ def cdc_conv_first_last(sf_dir: str) -> pa.Table:
 
     @ray.remote
     def part_fl(paths: list) -> pa.Table:
-        import pyarrow.parquet as pq
+        from image_report_ray.state.manifest import read_canonical
 
-        from image_report_ray.state.merge import (
-            export_canonical,
-            fold_state_tables,
-        )
-
-        folded = fold_state_tables([pq.read_table(p) for p in paths])
-        if folded is None:
+        t = read_canonical(paths)
+        if t is None:
             return pa.table({})
-        t = export_canonical(folded)
         if t.num_rows == 0:
             return pa.table({})
         conv = t.column("conv_id").to_numpy(zero_copy_only=False)
@@ -1977,17 +1908,11 @@ def cdc_role_bigrams(sf_dir: str) -> pa.Table:
 
     @ray.remote
     def part_bigrams(paths: list) -> pa.Table:
-        import pyarrow.parquet as pq
+        from image_report_ray.state.manifest import read_canonical
 
-        from image_report_ray.state.merge import (
-            export_canonical,
-            fold_state_tables,
-        )
-
-        folded = fold_state_tables([pq.read_table(p) for p in paths])
-        if folded is None:
+        t = read_canonical(paths)
+        if t is None:
             return pa.table({})
-        t = export_canonical(folded)
         if t.num_rows < 2:
             return pa.table({})
         conv = t.column("conv_id").to_numpy(zero_copy_only=False)
@@ -2036,17 +1961,12 @@ def cdc_turn_len_quantiles(sf_dir: str) -> pa.Table:
     @ray.remote
     def part_hist(paths: list) -> pa.Table:
         import pyarrow.compute as pcc
-        import pyarrow.parquet as pq
 
-        from image_report_ray.state.merge import (
-            export_canonical,
-            fold_state_tables,
-        )
+        from image_report_ray.state.manifest import read_canonical
 
-        folded = fold_state_tables([pq.read_table(p) for p in paths])
-        if folded is None:
+        t = read_canonical(paths)
+        if t is None:
             return pa.table({})
-        t = export_canonical(folded)
         if t.num_rows == 0:
             return pa.table({})
         g = pa.table({
@@ -2109,18 +2029,12 @@ def cdc_reply_latency(sf_dir: str, shift: int = _RL_SHIFT) -> pa.Table:
 
     @ray.remote
     def part_gaps(paths: list) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        from image_report_ray.state.merge import (
-            export_canonical,
-            fold_state_tables,
-        )
+        from image_report_ray.state.manifest import read_canonical
 
         empty = pa.table({"gap": pa.array([], pa.int64())})
-        folded = fold_state_tables([pq.read_table(p) for p in paths])
-        if folded is None:
+        t = read_canonical(paths)
+        if t is None:
             return empty
-        t = export_canonical(folded)
         if t.num_rows < 2:
             return empty
         conv = t.column("conv_id").to_numpy(zero_copy_only=False)

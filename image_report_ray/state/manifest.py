@@ -30,9 +30,12 @@ import os
 import re
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .. import STATE_FORMAT_VERSION, VERSION
+from ..schema import DELETED_COL
+from .merge import DIGEST_ALGO, export_canonical, fold_state_tables, table_digest
 
 _COMMIT_RE = re.compile(r"^epoch=(\d+)\.json$")
 _GC_RE = re.compile(r"^gc=(\d+)\.json$")
@@ -117,25 +120,29 @@ class Lake:
         with open(self.commit_path(epoch)) as f:
             return json.load(f)
 
-    def commit(self, epoch: int, partitions: dict[int, dict]) -> None:
-        """Atomically publish an epoch. ``partitions`` maps pid -> entry
-        (file path relative to root + checkpoint counters)."""
-        from .merge import DIGEST_ALGO
-
+    def _publish(self, path: str, record: dict) -> None:
+        """THE commit point: write the record under a tmp name, fsync it
+        and atomically rename it into place."""
         record = {
-            "epoch": epoch,
+            **record,
             "engine_version": VERSION,
             "state_format_version": STATE_FORMAT_VERSION,
             "digest_algo": DIGEST_ALGO,
-            "partitions": {str(pid): entry for pid, entry in sorted(partitions.items())},
         }
-        path = self.commit_path(epoch)
         tmp = path + ".tmp"
         with open(tmp, "w") as f:
             json.dump(record, f, indent=2, sort_keys=True)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
+
+    def commit(self, epoch: int, partitions: dict[int, dict]) -> None:
+        """Atomically publish an epoch. ``partitions`` maps pid -> entry
+        (file path relative to root + checkpoint counters)."""
+        self._publish(self.commit_path(epoch), {
+            "epoch": epoch,
+            "partitions": {str(pid): e for pid, e in sorted(partitions.items())},
+        })
 
     def is_committed(self, epoch: int) -> bool:
         return os.path.exists(self.commit_path(epoch))
@@ -155,23 +162,11 @@ class Lake:
     def commit_gc(self, seq: int, after_epoch: int, partitions: dict[int, dict]) -> None:
         """Publish a tombstone-GC rewrite. Folds AFTER ``after_epoch`` and
         BEFORE any later WAL epoch (see :meth:`current_entries`)."""
-        from .merge import DIGEST_ALGO
-
-        record = {
+        self._publish(self.gc_path(seq), {
             "gc_seq": seq,
             "after_epoch": after_epoch,
-            "engine_version": VERSION,
-            "state_format_version": STATE_FORMAT_VERSION,
-            "digest_algo": DIGEST_ALGO,
             "partitions": {str(pid): e for pid, e in sorted(partitions.items())},
-        }
-        path = self.gc_path(seq)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(record, f, indent=2, sort_keys=True)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        })
 
     # ---- current state resolution -----------------------------------
     def current_entries(self, as_of: int | None = None) -> dict[int, dict]:
@@ -217,8 +212,8 @@ class Lake:
         return out
 
     def current_files(self) -> dict[int, str]:
-        """pid -> the latest entry's OWN file (the full state under COW /
-        after compaction; the newest delta under merge-on-read)."""
+        """pid -> the latest entry's OWN file (the full state after a
+        compaction; the newest delta otherwise)."""
         return {
             pid: os.path.join(self.root, e["file"]) for pid, e in self.current_entries().items()
         }
@@ -226,16 +221,12 @@ class Lake:
     def current_file_sets(self, as_of: int | None = None) -> dict[int, list[str]]:
         """pid -> ordered composition list (base first, then deltas) that
         LWW-folds to the partition's current state (or the ``as_of``
-        snapshot). COW entries and GC rewrites have a single element."""
+        snapshot). Compacted entries and GC rewrites have a single element."""
         out: dict[int, list[str]] = {}
         for pid, e in self.current_entries(as_of).items():
             rels = e.get("files") or [e["file"]]
             out[pid] = [os.path.join(self.root, r) for r in rels]
         return out
-
-    def checkpoint(self, pid: int) -> dict | None:
-        """Latest (last_lsn, row counts, digest) for a partition."""
-        return self.current_entries().get(pid)
 
     def current_view_files(self, name: str) -> dict[int, str]:
         """pid -> absolute path of the partition's committed materialized
@@ -250,15 +241,6 @@ class Lake:
         return out
 
     # ---- state IO ----------------------------------------------------
-    def read_partition_state(self, pid: int) -> pa.Table | None:
-        """Current folded state of a partition (reads base + deltas)."""
-        paths = self.current_file_sets().get(pid)
-        if not paths:
-            return None
-        from .merge import fold_state_tables
-
-        return fold_state_tables([pq.read_table(p) for p in paths])
-
     @staticmethod
     def write_state_file(table: pa.Table, path: str) -> None:
         """Deterministic, atomic state-file write (tmp + rename)."""
@@ -266,3 +248,36 @@ class Lake:
         tmp = path + ".inprogress"
         pq.write_table(table, tmp, **PARQUET_OPTS)
         os.replace(tmp, path)
+
+
+def read_composition(paths: list[str]) -> pa.Table | None:
+    """Read one partition's composition (base first, then deltas) and
+    LWW-fold it to a single state table; ``None`` when it holds no rows."""
+    return fold_state_tables([pq.read_table(p) for p in paths])
+
+
+def read_canonical(paths: list[str]) -> pa.Table | None:
+    """The canonical snapshot (``export_canonical``: live rows, payload
+    columns, sorted) of one composition; ``None`` when it holds no rows."""
+    folded = read_composition(paths)
+    return None if folded is None else export_canonical(folded)
+
+
+def stage_partition(
+    table: pa.Table, root: str, kind: str, num: int, pid: int
+) -> dict:
+    """Write a partition's rewritten state under its staged name
+    ``data/<kind>=<num>/pid=<pid>.parquet`` and return its commit entry:
+    the file (a one-file composition), row counts and digest. The file
+    stays invisible until a commit record lists it."""
+    rel = os.path.join("data", f"{kind}={num:05d}", f"pid={pid:05d}.parquet")
+    Lake.write_state_file(table, os.path.join(root, rel))
+    tomb = int(pc.sum(pc.cast(table.column(DELETED_COL), pa.int64())).as_py() or 0)
+    return {
+        "file": rel,
+        "files": [rel],
+        "rows_live": table.num_rows - tomb,
+        "tombstoned": tomb,
+        "keys_total": table.num_rows,
+        "digest": table_digest(table),
+    }

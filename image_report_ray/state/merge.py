@@ -46,6 +46,15 @@ SEEN_I, SEEN_U, SEEN_D, DUPS = "_seen_i", "_seen_u", "_seen_d", "_dups"
 ACCT_COLS = (SEEN_I, SEEN_U, SEEN_D, DUPS)
 SRC_COL = "_src"  # 0 = incoming event, 1 = existing state (wins lsn ties)
 
+# The canonical key order: state files, exports and feeds are all sorted
+# by it, and the LWW sorts below extend it with (lsn, source).
+KEY_ORDER = [(c, "ascending") for c in KEY_COLUMNS]
+
+
+def sort_canonical(t: pa.Table) -> pa.Table:
+    """``t`` sorted by the canonical ``(conv_id, turn_idx)`` key order."""
+    return t.take(pc.sort_indices(t, sort_keys=KEY_ORDER))
+
 
 def _np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
@@ -249,8 +258,7 @@ def merge_state_with_changes(
     idx = pc.sort_indices(
         merged_input,
         sort_keys=[
-            ("conv_id", "ascending"),
-            ("turn_idx", "ascending"),
+            *KEY_ORDER,
             (LSN_COL, "ascending"),
             (SRC_COL, "ascending"),  # state after events at equal lsn -> state wins
         ],
@@ -293,12 +301,7 @@ def fold_state_tables(tables: "list[pa.Table | None]") -> pa.Table | None:
     merged = pa.concat_tables(conformed).append_column(SRC_COL, pa.array(src))
     idx = pc.sort_indices(
         merged,
-        sort_keys=[
-            ("conv_id", "ascending"),
-            ("turn_idx", "ascending"),
-            (LSN_COL, "ascending"),
-            (SRC_COL, "ascending"),
-        ],
+        sort_keys=[*KEY_ORDER, (LSN_COL, "ascending"), (SRC_COL, "ascending")],
     )
     t = merged.take(idx)
     _, winners = _group_layout(t)
@@ -313,11 +316,7 @@ def export_canonical(state: pa.Table) -> pa.Table:
     """
     live = state.filter(pc.invert(state.column(DELETED_COL)))
     keep = [c for c in live.column_names if c not in (LSN_COL, DELETED_COL, SRC_COL, *ACCT_COLS)]
-    live = live.select(keep)
-    idx = pc.sort_indices(
-        live, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
-    )
-    return live.take(idx)
+    return sort_canonical(live.select(keep))
 
 
 # ---- version-stable content digest ------------------------------------

@@ -9,12 +9,13 @@ view can never be observed inconsistent with the state it summarizes
 (and Ray task retries overwrite the same staged paths, so exactly-once
 carries over unchanged).
 
-Freshness contract: COW compacts every epoch, so views are exact after
-every commit. MOR delta epochs skip the view (a delta alone cannot
-produce it); the manifest carries the last written view files forward,
-so a view read between compactions reflects the last compaction point —
-the standard materialized-view lag of merge-on-read lakes. A GC rewrite
-drops view entries (they are recomputed at the next epoch commit).
+Freshness contract: with ``compact_every=1`` every epoch compacts, so
+views are exact after every commit. Delta epochs skip the view (a delta
+alone cannot produce it); the manifest carries the last written view
+files forward, so a view read between compactions reflects the last
+compaction point — the standard materialized-view lag of merge-on-read
+lakes. A GC rewrite drops view entries (they are recomputed at the next
+compaction).
 """
 
 from __future__ import annotations

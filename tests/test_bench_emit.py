@@ -23,7 +23,8 @@ def _capture_emit(out):
     return lines[0]
 
 
-def test_emit_small_passthrough():
+def test_emit_small_passthrough(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "REPO", str(tmp_path))
     out = {"metric": "m", "value": 1.0, "unit": "sec", "queries": {"a": 0.5}}
     line = _capture_emit(out)
     assert json.loads(line) == out

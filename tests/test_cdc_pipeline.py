@@ -40,7 +40,7 @@ def golden(n_epochs=3, epoch_size=400, **kw):
 
 
 def test_end_to_end_oracle_equality(ray_session, tmp_path, wal):
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     summary = run_job(str(tmp_path / "lake"), wal, cfg)
     assert summary["epochs_applied"] == 3
     got = canonical_state_table(Lake(str(tmp_path / "lake")))
@@ -48,7 +48,7 @@ def test_end_to_end_oracle_equality(ray_session, tmp_path, wal):
 
 
 def test_resume_skips_committed_epochs(ray_session, tmp_path, wal):
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     lake_dir = str(tmp_path / "lake")
     run_job(lake_dir, wal, cfg)
     # Re-run the whole job: every epoch must be skipped, state unchanged.
@@ -62,7 +62,7 @@ def test_crash_mid_epoch_before_commit_resumes_clean(ray_session, tmp_path, wal)
     """Simulate a crash after epoch 1's data files are written but before
     the manifest promotion: orphan data files must be invisible, and the
     resumed run must produce the uninterrupted result."""
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     lake_dir = str(tmp_path / "lake")
     lake = Lake(lake_dir, num_partitions=8)
     epochs = discover_epochs(wal)
@@ -86,7 +86,7 @@ def test_crash_mid_epoch_before_commit_resumes_clean(ray_session, tmp_path, wal)
 
 
 def test_determinism_two_runs_byte_identical(ray_session, tmp_path, wal):
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     run_job(str(tmp_path / "lake_a"), wal, cfg)
     run_job(str(tmp_path / "lake_b"), wal, cfg)
     ea = Lake(str(tmp_path / "lake_a")).current_entries()
@@ -104,7 +104,7 @@ def test_schema_evolution_through_pipeline(ray_session, tmp_path):
     d = str(tmp_path / "wal")
     write_wal(d, n_epochs=4, epoch_size=300, seed=5, n_convs=40, max_turns=8,
               evolve_from_epoch=2)
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     run_job(str(tmp_path / "lake"), d, cfg)
     got = canonical_state_table(Lake(str(tmp_path / "lake")))
     want = apply_naive(
@@ -119,7 +119,7 @@ def test_skew_salting_spreads_hot_conversation(ray_session, tmp_path):
     write_wal(d, n_epochs=2, epoch_size=800, seed=8, n_convs=50, max_turns=16,
               hot_frac=0.5, n_hot=1)
     hot = frozenset({"conv-00000000"})
-    cfg = EngineConfig(num_partitions=8, batch_size=256, salt_factor=4)
+    cfg = EngineConfig(num_partitions=8, salt_factor=4)
     run_job(str(tmp_path / "lake"), d, cfg, salt_keys=hot)
     lake = Lake(str(tmp_path / "lake"))
     # Correctness under salting:
@@ -139,7 +139,7 @@ def test_skew_salting_spreads_hot_conversation(ray_session, tmp_path):
 
 
 def test_lineage_reports_written_and_conserve(ray_session, tmp_path, wal):
-    cfg = EngineConfig(num_partitions=4, batch_size=256)
+    cfg = EngineConfig(num_partitions=4)
     lake_dir = str(tmp_path / "lake")
     run_job(lake_dir, wal, cfg)
     lake = Lake(lake_dir)
@@ -343,7 +343,7 @@ def test_expire_turns_matches_filtered_oracle(ray_session, tmp_path):
 
     from image_report_ray.pipelines.cdc import expire_turns
 
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     d = str(tmp_path / "wal")
     write_wal(d, n_epochs=3, epoch_size=400, **GEN)
     lake_dir = str(tmp_path / "lake")
@@ -408,7 +408,7 @@ def test_reshard_preserves_state_and_stream(ray_session, tmp_path):
     survived the move (a late redelivery of an old event is a no-op)."""
     from image_report_ray.pipelines.cdc import discover_epochs, reshard_lake
 
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     d = str(tmp_path / "wal")
     write_wal(d, n_epochs=3, epoch_size=400, **GEN)
     src_dir = str(tmp_path / "lake8")
@@ -426,7 +426,7 @@ def test_reshard_preserves_state_and_stream(ray_session, tmp_path):
     )
 
     # stream continues on the new lake; epochs 0/1 are already covered
-    cfg5 = EngineConfig(num_partitions=5, batch_size=256)
+    cfg5 = EngineConfig(num_partitions=5)
     summary = run_job(dst_dir, d, cfg5)
     assert summary["epochs_applied"] == 1 and summary["epochs_skipped"] == 2
     assert canonical_state_table(Lake(dst_dir)).equals(golden())
@@ -446,7 +446,7 @@ def test_reshard_desalts_hot_conversation(ray_session, tmp_path):
     write_wal(d, n_epochs=2, epoch_size=800, seed=8, n_convs=50, max_turns=16,
               hot_frac=0.5, n_hot=1)
     hot = frozenset({"conv-00000000"})
-    cfg = EngineConfig(num_partitions=8, batch_size=256, salt_factor=4)
+    cfg = EngineConfig(num_partitions=8, salt_factor=4)
     src_dir = str(tmp_path / "lake-salted")
     run_job(src_dir, d, cfg, salt_keys=hot)
 
@@ -492,7 +492,7 @@ def test_bootstrap_then_wal_stream(ray_session, tmp_path):
     # WAL epoch 1 applies on top; final state == uninterrupted oracle
     from image_report_ray.pipelines.cdc import discover_epochs
 
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     epochs = discover_epochs(d)
     apply_epoch(Lake(lake_dir), 1, epochs[1], cfg)
     assert canonical_state_table(Lake(lake_dir)).equals(golden(n_epochs=2))
@@ -508,7 +508,7 @@ def test_changefeed_matches_naive_snapshot_diff(ray_session, tmp_path):
     """changefeed(epoch) == the I/U/D diff of naive replays up to the
     adjacent epochs, with after-values on I/U rows and epoch 0 feeding
     every initial row as I."""
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     d = str(tmp_path / "wal")
     write_wal(d, n_epochs=3, epoch_size=400, **GEN)
     lake_dir = str(tmp_path / "lake")
@@ -585,7 +585,7 @@ def test_changefeed_reconstruction_invariant(ray_session, tmp_path):
     """Applying every epoch's change feed, in order, to an empty dict
     reproduces the final state exactly — the CDC-out correctness anchor
     (a downstream consumer of the feed converges to the lake)."""
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     d = str(tmp_path / "wal")
     write_wal(d, n_epochs=3, epoch_size=500, **GEN)
     lake_dir = str(tmp_path / "lake")
@@ -681,7 +681,7 @@ def test_reshard_preserves_evolved_schema(ray_session, tmp_path):
     d = str(tmp_path / "wal")
     write_wal(d, n_epochs=4, epoch_size=300, seed=5, n_convs=40, max_turns=8,
               evolve_from_epoch=2)
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     src = str(tmp_path / "lake8")
     run_job(src, d, cfg)
 
@@ -707,7 +707,7 @@ def test_changefeed_after_gc_and_expire(ray_session, tmp_path):
         gc_tombstones,
     )
 
-    cfg = EngineConfig(num_partitions=4, batch_size=256)
+    cfg = EngineConfig(num_partitions=4)
     d = str(tmp_path / "wal")
     paths = write_wal(d, n_epochs=3, epoch_size=400, **GEN)
     lake_dir = str(tmp_path / "lake")
@@ -758,7 +758,7 @@ def test_tail_job_follows_arriving_epochs(ray_session, tmp_path):
 
     from image_report_ray.pipelines.cdc import tail_job
 
-    cfg = EngineConfig(num_partitions=4, batch_size=256)
+    cfg = EngineConfig(num_partitions=4)
     staging = str(tmp_path / "staging")
     write_wal(staging, n_epochs=3, epoch_size=300, **GEN)
     wal = str(tmp_path / "wal")
@@ -812,7 +812,7 @@ def test_changefeed_preserves_evolved_column_types(ray_session, tmp_path):
         ed.mkdir(parents=True, exist_ok=True)
         pq.write_table(t, ed / "part-000.parquet")
 
-    cfg = EngineConfig(num_partitions=4, batch_size=256)
+    cfg = EngineConfig(num_partitions=4)
     run_job(str(tmp_path / "lake"), str(d), cfg)
     lake = Lake(str(tmp_path / "lake"))
 
@@ -834,7 +834,7 @@ def test_run_job_reports_below_watermark_epochs(ray_session, tmp_path, wal):
     """A WAL epoch numbered at/below the commit watermark that was never
     actually committed (mis-numbered / back-filled producer) is counted
     separately, not silently folded into epochs_skipped."""
-    cfg = EngineConfig(num_partitions=4, batch_size=256)
+    cfg = EngineConfig(num_partitions=4)
     lake_dir = str(tmp_path / "lake")
     s1 = run_job(lake_dir, wal, cfg)
     assert s1["epochs_below_watermark"] == 0
@@ -851,7 +851,7 @@ def test_changefeed_range_nets_intermediate_churn(ray_session, tmp_path):
     (a, b] into a dict and diffing — one compacted catch-up feed with
     intermediate churn netted out; from_epoch=-1 feeds the whole live
     state as inserts."""
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     d = str(tmp_path / "wal")
     write_wal(d, n_epochs=3, epoch_size=400, **GEN)
     lake_dir = str(tmp_path / "lake")
@@ -917,8 +917,7 @@ def test_zombie_merge_retry_is_byte_idempotent(ray_session, tmp_path, wal):
     )
     from image_report_ray.schema import concat_evolving
 
-    cfg = EngineConfig(num_partitions=4, batch_size=256,
-                       views=("conv_summary",))
+    cfg = EngineConfig(num_partitions=4, views=("conv_summary",))
     lake_dir = str(tmp_path / "lake")
     run_job(lake_dir, wal, cfg)
     lake = Lake(lake_dir)
@@ -1023,7 +1022,7 @@ def test_follow_with_concurrent_changefeed_consumer(ray_session, tmp_path):
     live = str(tmp_path / "live")
     os.makedirs(live)
     write_wal(src, n_epochs=4, epoch_size=300, **GEN)
-    cfg = EngineConfig(num_partitions=4, batch_size=256)
+    cfg = EngineConfig(num_partitions=4)
     lake_dir = str(tmp_path / "lake")
 
     totals = {}
@@ -1079,7 +1078,7 @@ def test_changefeed_range_across_schema_evolution(ray_session, tmp_path):
     d = str(tmp_path / "wal")
     write_wal(d, n_epochs=4, epoch_size=300, seed=5, n_convs=40, max_turns=8,
               evolve_from_epoch=2)
-    cfg = EngineConfig(num_partitions=4, batch_size=256)
+    cfg = EngineConfig(num_partitions=4)
     lake_dir = str(tmp_path / "lake")
     run_job(lake_dir, d, cfg)
     lake = Lake(lake_dir)
@@ -1116,7 +1115,7 @@ def test_single_partition_lake_lifecycle(ray_session, tmp_path):
 
     d = str(tmp_path / "wal")
     write_wal(d, n_epochs=2, epoch_size=300, **GEN)
-    cfg = EngineConfig(num_partitions=1, batch_size=256)
+    cfg = EngineConfig(num_partitions=1)
     lake_dir = str(tmp_path / "lake")
     summary = run_job(lake_dir, d, cfg)
     assert summary["epochs_applied"] == 2
@@ -1152,7 +1151,7 @@ def test_crash_fuzz_random_points_resume_byte_identical(
     per-partition digests vs an uninterrupted reference run."""
     import numpy as np
 
-    cfg = EngineConfig(num_partitions=8, batch_size=256)
+    cfg = EngineConfig(num_partitions=8)
     ref_dir = str(tmp_path / "ref")
     run_job(ref_dir, wal, cfg)
     ref = {p: e["digest"] for p, e in Lake(ref_dir).current_entries().items()}

@@ -311,6 +311,8 @@ def test_cli_full_lifecycle(ray_session, tmp_path, capsys):
     assert rs["partitions"] == 3
     assert canonical_state_table(Lake(lakeB)).equals(
         canonical_state_table(Lake(lakeA)))
+    assert run_json("validate", lakeB) == {
+        "partitions_checked": 3, "problems": []}
 
     out = str(tmp_path / "exported")
     run_json("export", lakeB, out)
