@@ -475,7 +475,9 @@ SELECT CAST(LEAST(FLOOR(v.jac * 20), 19) * 500 AS BIGINT) AS band_bp,
 FROM ver v JOIN est e ON e.da = v.da AND e.db = v.db
 GROUP BY 1 ORDER BY band_bp
 """
-    return base[:cut].rstrip().rstrip(")") + "),\n" + tail
+    head = base[:cut].rstrip()
+    assert head.endswith(")"), "the scored CTE must close the chain"
+    return head[:-1] + "),\n" + tail
 
 
 _SHUFFLE_SQL = f"""
@@ -772,27 +774,33 @@ FROM contrib GROUP BY doc_id
 ORDER BY score_micro DESC, doc_id ASC LIMIT 20
 """
 
-_KNN_COS_TWIN = """
+def _knn_cos_twin(k: int) -> str:
+    """knn_cosine twin at depth ``k`` (probe vec_id=0)."""
+    return f"""
 WITH q AS (SELECT CAST(embedding AS DOUBLE[]) AS qe FROM embeddings WHERE vec_id = 0),
 s AS (SELECT e.vec_id,
              list_cosine_similarity(CAST(e.embedding AS DOUBLE[]), q.qe) AS sim
       FROM embeddings e, q WHERE e.vec_id <> 0)
 SELECT CAST(ROW_NUMBER() OVER (ORDER BY sim DESC, vec_id ASC) AS BIGINT) AS rnk,
        vec_id
-FROM s ORDER BY rnk LIMIT 10
+FROM s ORDER BY rnk LIMIT {k}
 """
 
 
+_KNN_COS_TWIN = _knn_cos_twin(10)
+
+
 def _rrf_sql() -> str:
-    """rrf_hybrid_search twin: both leg twins verbatim as subqueries,
-    fused by the kernel's exact integer weights 10^9 // (60 + rank)."""
+    """rrf_hybrid_search twin: both leg twins verbatim as subqueries
+    (the cosine leg at the engine's depth 20), fused by the kernel's
+    exact integer weights 10^9 // (60 + rank)."""
     return f"""
 WITH b AS (
   SELECT doc_id,
          ROW_NUMBER() OVER (ORDER BY score_micro DESC, doc_id) AS r
   FROM ({_BM25_TWIN})
 ),
-v AS (SELECT vec_id AS doc_id, rnk AS r FROM ({_KNN_COS_TWIN})),
+v AS (SELECT vec_id AS doc_id, rnk AS r FROM ({_knn_cos_twin(20)})),
 u AS (
   SELECT doc_id, 1000000000 // (60 + r) AS c FROM b
   UNION ALL

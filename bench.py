@@ -315,12 +315,11 @@ def run_textbench(num_cpus: int, n_docs: int = TEXTBENCH_DOCS) -> dict:
 
     # fresh-route hygiene (the simbench rule): a previous run's text
     # index would silently auto-route the four indexed queries and make
-    # the "fresh" walls indexed timings — drop it BEFORE the loop
-    import shutil as _shutil
+    # the "fresh" walls indexed timings — drop this corpus's cache
+    # entries BEFORE the loop
+    from image_report_ray import cache
 
-    from image_report_ray.pipelines.text import _text_index_dir as _tidir
-
-    _shutil.rmtree(_tidir(tb_dir), ignore_errors=True)
+    cache.purge(tb_dir)
 
     out: dict[str, float] = {}
     rows: dict[str, int] = {}
@@ -368,12 +367,10 @@ def run_textbench(num_cpus: int, n_docs: int = TEXTBENCH_DOCS) -> dict:
             _ti_fresh[name] = r
     # physical inverted-index datapoint: build once, re-run the four
     # auto-routing queries off the layout (bit-equal, asserted)
-    import shutil
-
-    from image_report_ray.pipelines.text import _text_index_dir, build_text_index
+    from image_report_ray.pipelines.text import build_text_index
 
     fresh = _ti_fresh
-    shutil.rmtree(_text_index_dir(tb_dir), ignore_errors=True)
+    cache.purge(tb_dir)
     t0 = time.perf_counter()
     build_text_index(tb_dir)
     index = {"build": round(time.perf_counter() - t0, 3)}
@@ -480,19 +477,9 @@ def run_simbench(num_cpus: int, n_vecs: int = SIMBENCH_VECS) -> dict:
     # physical indexes so every wall measures real work, not a /tmp hit
     # from a previous bench process (the cache economics get their own
     # datapoints below)
-    import hashlib
+    from image_report_ray import cache
 
-    ph = hashlib.sha1(os.path.abspath(sb_dir).encode()).hexdigest()[:10]
-    if os.path.isdir(similarity._SIM_CACHE_ROOT):
-        for name in os.listdir(similarity._SIM_CACHE_ROOT):
-            if ph in name:
-                shutil.rmtree(
-                    os.path.join(similarity._SIM_CACHE_ROOT, name),
-                    ignore_errors=True,
-                )
-    shutil.rmtree(similarity._lsh_index_dir(sb_dir), ignore_errors=True)
-    shutil.rmtree(similarity._ivf_index_dir(sb_dir), ignore_errors=True)
-    shutil.rmtree(similarity._pq_index_dir(sb_dir), ignore_errors=True)
+    cache.purge(sb_dir)
 
     out: dict[str, float] = {}
     t0 = time.perf_counter(); similarity.knn_cosine(sb_dir, 0, 10)
@@ -501,9 +488,9 @@ def run_simbench(num_cpus: int, n_vecs: int = SIMBENCH_VECS) -> dict:
     pq_fresh = similarity.knn_cosine_pq(sb_dir, 10)
     out["knn_cosine_pq"] = round(time.perf_counter() - t0, 3)
     t0 = time.perf_counter()  # at-rest codes: publish once
-    pq_scratch = f"{similarity._pq_index_dir(sb_dir)}.building-{os.getpid()}"
-    similarity.build_pq_index(sb_dir, pq_scratch)
-    os.rename(pq_scratch, similarity._pq_index_dir(sb_dir))
+    cache.get_or_build(similarity._pq_index_dir(sb_dir),
+                       lambda tmp: similarity.build_pq_index(sb_dir, tmp),
+                       lambda _: None)
     out["pq_index_build"] = round(time.perf_counter() - t0, 3)
     t0 = time.perf_counter()  # re-run reads M bytes/vector, no encode
     pq_idx = similarity.knn_cosine_pq(sb_dir, 10)

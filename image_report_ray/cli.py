@@ -26,6 +26,7 @@ import logging
 import os
 import sys
 
+from . import cache
 from .config import EngineConfig, float_0_1, positive_int
 from .logging_setup import setup_logging
 
@@ -511,48 +512,31 @@ def cmd_index(args: argparse.Namespace) -> int:
         meta = build_lsh_index(args.data_dir)
         where = _lsh_index_dir(args.data_dir)
     elif args.kind == "pq":
-        import os as _os
+        import numpy as np
 
         from .pipelines.similarity import _pq_index_dir, build_pq_index
 
-        where = _pq_index_dir(args.data_dir)
-        if _os.path.exists(_os.path.join(where, "codebooks.npy")):
-            import numpy as _np
-
-            st = _np.load(_os.path.join(where, "codebooks.npy"))
-            meta = {"m": int(st.shape[0]), "k": int(st.shape[1]),
+        def reused_pq(path: str) -> dict:
+            st = np.load(os.path.join(path, "codebooks.npy"))
+            return {"m": int(st.shape[0]), "k": int(st.shape[1]),
                     "subdim": int(st.shape[2]), "reused": True}
-        else:
-            scratch = f"{where}.building-{_os.getpid()}"
-            meta = build_pq_index(args.data_dir, scratch)
-            try:
-                _os.rename(scratch, where)
-            except OSError:  # concurrent builder won the publish race
-                import shutil as _shutil
 
-                _shutil.rmtree(scratch, ignore_errors=True)
+        where = _pq_index_dir(args.data_dir)
+        meta = cache.get_or_build(
+            where, lambda tmp: build_pq_index(args.data_dir, tmp), reused_pq)
     else:
-        import os as _os
-
-        from .pipelines.similarity import _ivf_index_dir, build_ivf_index
+        from .pipelines.similarity import (
+            _ivf_index_dir,
+            _load_centroids,
+            build_ivf_index,
+        )
 
         where = _ivf_index_dir(args.data_dir)
-        cents_path = _os.path.join(where, "centroids.npy")
-        if _os.path.exists(cents_path):  # content-addressed: reuse
-            import numpy as _np
-
-            meta = {"n_cells": int(_np.load(cents_path).shape[0]),
-                    "reused": True}
-        else:
-            scratch = f"{where}.building-{_os.getpid()}"
-            cents = build_ivf_index(args.data_dir, scratch)
-            try:
-                _os.rename(scratch, where)
-            except OSError:  # concurrent builder won the publish race
-                import shutil as _shutil
-
-                _shutil.rmtree(scratch, ignore_errors=True)
-            meta = {"n_cells": int(cents.shape[0]), "reused": False}
+        reused = os.path.isdir(where)
+        cents = cache.get_or_build(
+            where, lambda tmp: build_ivf_index(args.data_dir, tmp),
+            _load_centroids)
+        meta = {"n_cells": int(cents.shape[0]), "reused": reused}
     print(json.dumps({
         "kind": args.kind, "index_dir": where, "meta": meta,
         "wall_sec": round(time.perf_counter() - t0, 3),

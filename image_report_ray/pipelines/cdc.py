@@ -802,13 +802,20 @@ def canonical_state_table(lake: Lake, as_of: int | None = None) -> pa.Table:
 # ---- state migrations: reshard and bootstrap -------------------------
 
 
+def _task_slices(slices: tuple, P: int):
+    """A split task's return value: under ``num_returns=1`` Ray stores
+    the whole return value as the one object, so one partition returns
+    its bare slice."""
+    return slices[0] if P == 1 else slices
+
+
 def _split_state(paths: list, P: int):
     """Reshard source task: fold one partition's composition and route
     it into ``P`` slices."""
     folded = read_composition(paths)
     if folded is None:
-        return tuple(pa.table({}) for _ in range(P))
-    return _split_by_pid(folded, P)
+        return _task_slices(tuple(pa.table({}) for _ in range(P)), P)
+    return _task_slices(_split_by_pid(folded, P), P)
 
 
 def _split_boot(block: pa.Table, P: int):
@@ -826,7 +833,7 @@ def _split_boot(block: pa.Table, P: int):
     ).append_column(
         DELETED_COL, pa.array(np.zeros(block.num_rows, bool))
     )
-    return _split_by_pid(t, P)
+    return _task_slices(_split_by_pid(t, P), P)
 
 
 def _write_migrated(pid: int, root: str, epoch: int, last_lsn: int,

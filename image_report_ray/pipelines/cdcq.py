@@ -4,21 +4,19 @@ lineage and all — with the final state returned for the DuckDB
 window-function oracle to check.
 
 State queries share ONE committed lake per replay variant (full / dups /
-evolve / two-epoch split) through a content-fingerprinted cache under
-``/tmp/irr-cdcq-lakes`` — in production the lake persists and queries
-read it; rebuilding the identical replay per query was bench-isolation
-overhead, not engine work. Published lakes are immutable; regenerating
-the events parquet in place rebuilds every variant (size+mtime tag).
+evolve / two-epoch split) through the content-fingerprinted cache
+(:mod:`..cache`) — in production the lake persists and queries read it;
+rebuilding the identical replay per query was bench-isolation overhead,
+not engine work. Published lakes are immutable; regenerating the events
+parquet in place rebuilds every variant.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
-
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import cache
 from ..config import EngineConfig
 from ..pipelines.cdc import apply_epoch, canonical_state_table
 from ..sources.wal import changelog_dataset, events_to_changelog, max_event_id
@@ -27,86 +25,18 @@ from ._util import finalize
 
 _P = 8  # partitions for the query-scale lakes
 
-# Shared replayed-lake cache: in production the lake PERSISTS and many
-# queries read it — rebuilding the identical replay per query is a
-# bench-isolation artifact, so the state queries share one committed
-# lake per (input fingerprint, replay variant). The tag fingerprints
-# the events parquet (size + mtime_ns — regenerate in place and every
-# variant rebuilds, the IVF-index cache rule) plus a format version;
-# publish is an atomic directory rename (lost races clean up and read
-# the winner). Lakes are immutable once published — queries only fold.
-_LAKE_CACHE_VER = 1
-_LAKE_CACHE_ROOT = "/tmp/irr-cdcq-lakes"
-
-
-def _events_tag(sf_dir: str) -> str:
-    """``<path-hash>-<content-hash>``: the first component identifies
-    the source directory (so eviction only targets ITS superseded
-    builds, never another corpus's still-valid lakes), the second its
-    content fingerprint."""
-    import hashlib
-    import os
-
-    st = os.stat(f"{sf_dir}/events.parquet")
-    ph = hashlib.sha1(os.path.abspath(sf_dir).encode()).hexdigest()[:10]
-    ch = hashlib.sha1(
-        f"{st.st_size}:{st.st_mtime_ns}:{_P}:{_LAKE_CACHE_VER}".encode()
-    ).hexdigest()[:10]
-    return f"{ph}-{ch}"
-
 
 def _shared_lake(sf_dir: str, variant: str, build) -> Lake:
     """Return the committed lake for ``variant``, building it once.
 
     ``build(lake)`` runs the replay (choosing its own EngineConfig)
-    into a private tmp dir; ``os.rename`` publishes atomically."""
-    import os
-
-    final = os.path.join(_LAKE_CACHE_ROOT, f"{variant}-{_events_tag(sf_dir)}")
-    if os.path.isdir(final):
-        return Lake(final, num_partitions=_P)
-    os.makedirs(_LAKE_CACHE_ROOT, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=f".build-{variant}-", dir=_LAKE_CACHE_ROOT)
-    try:
-        build(Lake(tmp, num_partitions=_P))
-        try:
-            os.rename(tmp, final)
-        except OSError:  # concurrent builder won the publish race
-            shutil.rmtree(tmp, ignore_errors=True)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    _sweep_cache(variant, sf_dir, keep=os.path.basename(final))
-    return Lake(final, num_partitions=_P)
-
-
-def _sweep_cache(variant: str, sf_dir: str, keep: str) -> None:
-    """Evict superseded cache entries on publish: older builds of the
-    same (variant, source dir) — their fingerprint changed, they will
-    never be read again — and any ``.build-*`` dir stranded by a killed
-    process (stale after an hour; live builders are minutes old).
-    Other corpora's still-valid lakes are untouched. Keeps /tmp bounded
-    across corpus regenerations and hard kills."""
-    import hashlib
-    import os
-    import time
-
-    ph = hashlib.sha1(os.path.abspath(sf_dir).encode()).hexdigest()[:10]
-    prefix = f"{variant}-{ph}-"
-    try:
-        now = time.time()
-        for name in os.listdir(_LAKE_CACHE_ROOT):
-            path = os.path.join(_LAKE_CACHE_ROOT, name)
-            if name == keep:
-                continue
-            stale_build = (
-                name.startswith(".build-")
-                and now - os.path.getmtime(path) > 3600
-            )
-            if stale_build or name.startswith(prefix):
-                shutil.rmtree(path, ignore_errors=True)
-    except OSError:
-        pass  # best-effort housekeeping — never fail the query
+    into the cache's private build dir; queries only fold the published
+    lake."""
+    path = cache.entry(f"lake-{variant}", sf_dir, "events.parquet", f"P={_P}")
+    cache.get_or_build(
+        path, lambda tmp: build(Lake(tmp, num_partitions=_P)), lambda _: None
+    )
+    return Lake(path, num_partitions=_P)
 
 
 def _full_lake(sf_dir: str) -> Lake:

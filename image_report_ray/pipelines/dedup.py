@@ -770,100 +770,36 @@ def _ngram_jaccard_pair_refs_build(
 
 
 
-_DD_CACHE_ROOT = "/tmp/irr-dedup-cache"
-_DD_CACHE_VER = 1
-
-
-def _doc_tag(sf_dir: str, params: str) -> str:
-    """``<path-hash>-<content-hash>`` over documents.parquet — the
-    similarity module's ``_emb_tag`` discipline on the text corpus."""
-    import hashlib
-    import os
-
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    ph = hashlib.sha1(os.path.abspath(sf_dir).encode()).hexdigest()[:10]
-    ch = hashlib.sha1(
-        f"{st.st_size}:{st.st_mtime_ns}:{params}:{_DD_CACHE_VER}".encode()
-    ).hexdigest()[:10]
-    return f"{ph}-{ch}"
-
-
 def ngram_jaccard_pair_refs(
     sf_dir: str, tau: float = 0.2, P: int = _PC_PARTS
 ) -> tuple[list, dict]:
     """Cached form of :func:`_ngram_jaccard_pair_refs_build`: the
-    verified pair shards (and the hot-key drop stats sidecar) persist
-    under /tmp keyed by corpus content + kernel params, so the nine
+    verified pair shards (and the hot-key drop stats sidecar) persist as
+    one cache entry keyed by corpus content + kernel params, so the nine
     graph/census consumers (degree/cluster hists, pagerank, triangles,
     span coverage, severity bands, quality matrix, clusters, gathered
-    pairs) share ONE shingle-exchange execution per corpus — the
-    ``similarity._cached_refs`` pattern one module over. Parquet
-    round-trips bit-exactly and shard order is the ref order, so cached
-    and fresh routes are bit-identical downstream."""
+    pairs) share ONE shingle-exchange execution per corpus. Cached and
+    fresh routes are bit-identical downstream."""
     import json
     import os
-    import shutil
-    import tempfile
 
-    import ray
+    from .. import cache
 
-    from .similarity import _sim_rw
-
-    read_part, write_part = _sim_rw()
-    tag = _doc_tag(sf_dir, f"ngjac:tau={tau}:P={P}")
-    final = os.path.join(_DD_CACHE_ROOT, f"ngjac-{tag}")
-    if os.path.isdir(final):
-        with open(os.path.join(final, "stats.json")) as fh:
-            stats = json.load(fh)
-        names = sorted(
-            n for n in os.listdir(final) if n.endswith(".parquet")
-        )
-        return [read_part.remote(os.path.join(final, n)) for n in names], stats
-    refs, stats = _ngram_jaccard_pair_refs_build(sf_dir, tau, P)
-    os.makedirs(_DD_CACHE_ROOT, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=".build-ngjac-", dir=_DD_CACHE_ROOT)
-    try:
-        ray.get([
-            write_part.remote(r, os.path.join(tmp, f"part-{i:05d}.parquet"))
-            for i, r in enumerate(refs)
-        ])
+    def build(tmp: str) -> tuple[list, dict]:
+        refs, stats = _ngram_jaccard_pair_refs_build(sf_dir, tau, P)
+        cache.write_refs(refs, tmp)
         with open(os.path.join(tmp, "stats.json"), "w") as fh:
             json.dump(stats, fh)
-        try:
-            os.rename(tmp, final)
-        except OSError:  # concurrent builder won the publish race
-            shutil.rmtree(tmp, ignore_errors=True)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    _dd_sweep(sf_dir, keep=os.path.basename(final))
-    return refs, stats
+        return refs, stats
 
+    def load(path: str) -> tuple[list, dict]:
+        with open(os.path.join(path, "stats.json")) as fh:
+            return cache.read_refs(path), json.load(fh)
 
-def _dd_sweep(sf_dir: str, keep: str) -> None:
-    """Evict superseded builds for the same corpus dir and hour-stale
-    .build-* leftovers — /tmp stays bounded across regenerations."""
-    import hashlib
-    import os
-    import shutil
-    import time
-
-    ph = hashlib.sha1(os.path.abspath(sf_dir).encode()).hexdigest()[:10]
-    prefix = f"ngjac-{ph}-"
-    try:
-        entries = os.listdir(_DD_CACHE_ROOT)
-    except OSError:
-        return
-    now = time.time()
-    for n in entries:
-        full = os.path.join(_DD_CACHE_ROOT, n)
-        try:
-            if n.startswith(prefix) and n != keep:
-                shutil.rmtree(full, ignore_errors=True)
-            elif n.startswith(".build-") and now - os.path.getmtime(full) > 3600:
-                shutil.rmtree(full, ignore_errors=True)
-        except OSError:
-            pass
+    return cache.get_or_build(
+        cache.entry("ngjac", sf_dir, "documents.parquet", f"tau={tau}:P={P}"),
+        build, load,
+    )
 
 
 def dedup_ngram_jaccard(sf_dir: str, tau: float = 0.2) -> pa.Table:

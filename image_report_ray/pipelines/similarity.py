@@ -11,12 +11,12 @@ scale path for 100 TB.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import cache
 from ._util import ds_to_table, finalize, round_col
 
 
@@ -40,116 +40,24 @@ def _stack(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 # kmeans assignments and verified near-dup pair graphs are recomputed by
 # several queries over the same static corpus (kmeans_embed, semdedup,
 # embedding_dup_clusters, embedding_near_dups all at the same threshold)
-# — the cdcq._shared_lake idea one module over: persist each derived
-# table as content-fingerprinted parquet shards under /tmp (one file per
-# partition ref, atomic-rename publish), so the second consumer reads
-# O(parts) files instead of re-running the kmeans waves / the LSH sign +
-# verify exchange. Parquet round-trips int64/float64 bit-exactly, and
-# shard order is the ref order, so cached and fresh routes are
-# bit-identical downstream.
-
-_SIM_CACHE_ROOT = "/tmp/irr-sim-cache"
-_SIM_CACHE_VER = 1
-_SIM_RW_REMOTES = None
+# — so each derived table persists as one cache entry of parquet shards
+# (:mod:`..cache`), and the second consumer reads O(parts) files instead
+# of re-running the kmeans waves / the LSH sign + verify exchange.
 
 
-def _sim_rw():
-    global _SIM_RW_REMOTES
-    if _SIM_RW_REMOTES is None:
-        import ray
-
-        @ray.remote
-        def read_part(path: str) -> pa.Table:
-            import pyarrow.parquet as pq
-
-            return pq.read_table(path)
-
-        @ray.remote
-        def write_part(t: pa.Table, path: str) -> None:
-            import pyarrow.parquet as pq
-
-            from ..state.manifest import PARQUET_OPTS
-
-            pq.write_table(t, path, **PARQUET_OPTS)
-
-        _SIM_RW_REMOTES = (read_part, write_part)
-    return _SIM_RW_REMOTES
+def _cached_refs(sf_dir: str, family: str, params: str, build) -> list:
+    """The derived table's partition refs, built and published once per
+    (corpus content, params); the building call returns ``build()``'s
+    fresh refs without a re-read."""
+    return cache.get_or_build(
+        cache.entry(family, sf_dir, "embeddings.parquet", params),
+        lambda tmp: cache.write_refs(build(), tmp),
+        cache.read_refs,
+    )
 
 
-def _emb_tag(sf_dir: str, params: str) -> str:
-    """``<path-hash>-<content-hash>``: path component scopes eviction to
-    this corpus; content component fingerprints the embeddings file and
-    every kernel parameter baked into the cached result."""
-    import hashlib
-
-    st = os.stat(f"{sf_dir}/embeddings.parquet")
-    ph = hashlib.sha1(os.path.abspath(sf_dir).encode()).hexdigest()[:10]
-    ch = hashlib.sha1(
-        f"{st.st_size}:{st.st_mtime_ns}:{params}:{_SIM_CACHE_VER}".encode()
-    ).hexdigest()[:10]
-    return f"{ph}-{ch}"
-
-
-def _cached_refs(sf_dir: str, variant: str, params: str, build) -> list:
-    """Return the derived table's partition refs, building + publishing
-    the parquet shards once per (corpus content, params). ``build()``
-    returns the fresh refs; they are returned directly after the shards
-    publish (no re-read on the building call)."""
-    import shutil
-
-    import ray
-
-    read_part, write_part = _sim_rw()
-    tag = _emb_tag(sf_dir, params)
-    final = os.path.join(_SIM_CACHE_ROOT, f"{variant}-{tag}")
-    if os.path.isdir(final):
-        names = sorted(
-            n for n in os.listdir(final) if n.endswith(".parquet")
-        )
-        return [read_part.remote(os.path.join(final, n)) for n in names]
-    refs = build()
-    os.makedirs(_SIM_CACHE_ROOT, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=f".build-{variant}-", dir=_SIM_CACHE_ROOT)
-    try:
-        ray.get([
-            write_part.remote(r, os.path.join(tmp, f"part-{i:05d}.parquet"))
-            for i, r in enumerate(refs)
-        ])
-        try:
-            os.rename(tmp, final)
-        except OSError:  # concurrent builder won the publish race
-            shutil.rmtree(tmp, ignore_errors=True)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    _sim_sweep(variant, sf_dir, keep=os.path.basename(final))
-    return refs
-
-
-def _sim_sweep(variant: str, sf_dir: str, keep: str) -> None:
-    """Evict superseded builds of the same (variant, corpus dir) and
-    hour-stale .build-* dirs — /tmp stays bounded across corpus
-    regenerations; other corpora's entries are untouched."""
-    import hashlib
-    import shutil
-    import time
-
-    ph = hashlib.sha1(os.path.abspath(sf_dir).encode()).hexdigest()[:10]
-    prefix = f"{variant}-{ph}-"
-    try:
-        now = time.time()
-        for name in os.listdir(_SIM_CACHE_ROOT):
-            path = os.path.join(_SIM_CACHE_ROOT, name)
-            if name == keep:
-                continue
-            stale_build = (
-                name.startswith(".build-")
-                and now - os.path.getmtime(path) > 3600
-            )
-            if stale_build or name.startswith(prefix):
-                shutil.rmtree(path, ignore_errors=True)
-    except OSError:
-        pass  # best-effort housekeeping — never fail the query
+def _load_centroids(path: str) -> np.ndarray:
+    return np.load(os.path.join(path, "centroids.npy"))
 
 
 def _query_vector(sf_dir: str, vec_id: int) -> np.ndarray:
@@ -458,24 +366,9 @@ def build_ivf_index(
 
 
 def _ivf_index_dir(sf_dir: str) -> str:
-    """Deterministic per-corpus index location under /tmp (built once,
-    reused across queries — the ANN build/query split). The tag mixes a
-    CONTENT fingerprint (size + mtime of every embeddings file) with the
-    path, so regenerating embeddings.parquet in place invalidates the
-    cache instead of silently serving a stale index."""
-    import glob
-    import hashlib
-
-    h = hashlib.sha1(os.path.abspath(sf_dir).encode())
-    h.update(f"|{_IVF_ALGO_VERSION}".encode())
-    pat = os.path.join(sf_dir, "embeddings.parquet")
-    paths = sorted(glob.glob(pat)) or sorted(
-        glob.glob(os.path.join(pat, "*.parquet"))
-    )
-    for p in paths:
-        st = os.stat(p)
-        h.update(f"|{os.path.basename(p)}:{st.st_size}:{st.st_mtime_ns}".encode())
-    return os.path.join(tempfile.gettempdir(), f"irr-ivf-{h.hexdigest()[:12]}")
+    """The per-corpus IVF index entry (built once, reused across
+    queries — the ANN build/query split)."""
+    return cache.entry("ivf", sf_dir, "embeddings.parquet", _IVF_ALGO_VERSION)
 
 
 def knn_cosine_ivf(sf_dir: str, query_vec_id: int = 0, k: int = 10) -> pa.Table:
@@ -492,21 +385,9 @@ def knn_cosine_ivf(sf_dir: str, query_vec_id: int = 0, k: int = 10) -> pa.Table:
 
     rd = _rd()
     index_dir = _ivf_index_dir(sf_dir)
-    cents_path = os.path.join(index_dir, "centroids.npy")
-    if os.path.exists(cents_path):
-        cents = np.load(cents_path)
-    else:
-        # build into a scratch dir, publish by atomic rename (concurrent
-        # builders: first rename wins, losers discard)
-        scratch = f"{index_dir}.building-{os.getpid()}"
-        cents = build_ivf_index(sf_dir, scratch)
-        try:
-            os.rename(scratch, index_dir)
-        except OSError:
-            import shutil
-
-            shutil.rmtree(scratch, ignore_errors=True)
-            cents = np.load(cents_path)
+    cents = cache.get_or_build(
+        index_dir, lambda tmp: build_ivf_index(sf_dir, tmp), _load_centroids
+    )
 
     q = _query_vector(sf_dir, query_vec_id)
     qn = q / np.linalg.norm(q)
@@ -694,39 +575,38 @@ _ND_INDEX_PARTS = 16
 
 
 def _lsh_index_dir(sf_dir: str) -> str:
-    """Deterministic per-corpus signature-index location under /tmp —
-    content-fingerprinted like :func:`_ivf_index_dir`, with every
-    signing parameter in the tag so a kernel-constant change can't
+    """The per-corpus signature-index entry, with every signing
+    parameter in the fingerprint so a kernel-constant change can't
     serve a stale layout."""
-    import glob
-    import hashlib
-
-    h = hashlib.sha1(os.path.abspath(sf_dir).encode())
-    h.update(
-        f"|{_ND_INDEX_VERSION}:{_ND_BANDS}:{_ND_SEED}:{_ND_INDEX_PARTS}".encode()
+    return cache.entry(
+        "ndlsh", sf_dir, "embeddings.parquet",
+        f"{_ND_INDEX_VERSION}:{_ND_BANDS}:{_ND_SEED}:{_ND_INDEX_PARTS}",
     )
-    pat = os.path.join(sf_dir, "embeddings.parquet")
-    paths = sorted(glob.glob(pat)) or sorted(
-        glob.glob(os.path.join(pat, "*.parquet"))
-    )
-    for p in paths:
-        st = os.stat(p)
-        h.update(f"|{os.path.basename(p)}:{st.st_size}:{st.st_mtime_ns}".encode())
-    return os.path.join(tempfile.gettempdir(), f"irr-ndlsh-{h.hexdigest()[:12]}")
 
 
-def build_lsh_index(
-    sf_dir: str, index_dir: str | None = None, P: int = _ND_INDEX_PARTS
-) -> dict:
+def build_lsh_index(sf_dir: str) -> dict:
     """Build (or reuse) the physical banded-LSH signature layout: one
     streamed pass signs every vector and writes
     ``index_dir/pid=K/*.parquet`` partitioned by
     ``hash_key(band_key) % P`` — the SAME routing as the candidate
-    exchange, so per-pid files are complete per band key. Publishes by
-    atomic rename (concurrent builders: first wins). Returns the index
-    meta (also persisted as ``meta.json``)."""
+    exchange, so per-pid files are complete per band key. Returns the
+    index meta (also persisted as ``meta.json``)."""
+    return cache.get_or_build(
+        _lsh_index_dir(sf_dir),
+        lambda tmp: _write_lsh_index(sf_dir, tmp),
+        _read_meta,
+    )
+
+
+def _read_meta(index_dir: str) -> dict:
     import json
-    import shutil
+
+    with open(os.path.join(index_dir, "meta.json")) as f:
+        return json.load(f)
+
+
+def _write_lsh_index(sf_dir: str, out_dir: str) -> dict:
+    import json
 
     import pyarrow.parquet as pq
     import ray
@@ -734,11 +614,7 @@ def build_lsh_index(
     from .exchange import hash_key
 
     rd = _rd()
-    final = index_dir or _lsh_index_dir(sf_dir)
-    meta_path = os.path.join(final, "meta.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            return json.load(f)
+    P = _ND_INDEX_PARTS
     import glob
 
     pat = f"{sf_dir}/embeddings.parquet"
@@ -758,12 +634,11 @@ def build_lsh_index(
         pid = (hash_key(out.column("band_key")) % np.uint64(P)).astype(np.int32)
         return out.append_column("pid", pa.array(pid))
 
-    scratch = f"{final}.building-{os.getpid()}"
     ds = rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     ds.map_batches(sign, batch_format="pyarrow").write_parquet(
-        scratch, partition_cols=["pid"]
+        out_dir, partition_cols=["pid"]
     )
     meta = {
         "version": _ND_INDEX_VERSION,
@@ -773,12 +648,8 @@ def build_lsh_index(
         "band_bits": int(band_bits),
         "P": int(P),
     }
-    with open(os.path.join(scratch, "meta.json"), "w") as f:
+    with open(os.path.join(out_dir, "meta.json"), "w") as f:
         json.dump(meta, f)
-    try:
-        os.rename(scratch, final)
-    except OSError:  # concurrent builder won the publish race
-        shutil.rmtree(scratch, ignore_errors=True)
     return meta
 
 
@@ -859,7 +730,6 @@ def embedding_near_dup_lsh_refs(
     compute the dot product inside the partitions, so the driver holds
     only the candidate-pair list and the final survivors, never a
     vector gather. Approximate -> pytest recall gate, no SQL oracle."""
-    import json
     from functools import partial as fpartial
 
     import pyarrow.parquet as pq
@@ -873,14 +743,12 @@ def embedding_near_dup_lsh_refs(
     refs = ds.to_arrow_refs()
 
     idx_dir = _lsh_index_dir(sf_dir)
-    meta_path = os.path.join(idx_dir, "meta.json")
-    if os.path.exists(meta_path):
+    if os.path.isdir(idx_dir):
         # physical signature layout exists for this exact corpus content
         # + signing params: skip the signing matmul AND the candidate
         # exchange's split stage (bucket-local counts per pid=K dir)
-        with open(meta_path) as f:
-            index_meta = json.load(f)
-        cands_t, _ = _lsh_index_pair_counts(idx_dir, index_meta, max_band_freq)
+        cands_t, _ = _lsh_index_pair_counts(
+            idx_dir, _read_meta(idx_dir), max_band_freq)
     else:
         pf = pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
         band_bits = _nd_band_bits(pf.metadata.num_rows)
@@ -975,7 +843,7 @@ def embedding_near_dup_refs(
     max_broadcast_rows: int = _ND_MAX_BROADCAST_ROWS,
 ) -> list:
     """Cached form of :func:`_embedding_near_dup_refs_build` — the
-    verified (vec_id_a, vec_id_b, sim) pair shards persist under /tmp
+    verified (vec_id_a, vec_id_b, sim) pair shards persist as a cache entry
     keyed by corpus content + threshold + route pins, so
     embedding_near_dups / embedding_dup_clusters / semdedup (same
     threshold) share ONE pair computation per corpus."""
@@ -1344,7 +1212,7 @@ def kmeans_assign_refs(
     sf_dir: str, k: int = _KM_K, iters: int = _KM_ITERS
 ) -> list:
     """Cached form of :func:`_kmeans_assign_refs_build` — the (vec_id,
-    cluster_id) shards persist under /tmp keyed by corpus content +
+    cluster_id) shards persist as a cache entry keyed by corpus content +
     kernel pins, so kmeans_embed / semdedup / repeat runs share ONE
     Lloyd execution per corpus."""
     return _cached_refs(
@@ -1406,29 +1274,26 @@ def _kmeans_assign_refs_build(
 def _kmeans_centroids_cached(
     sf_dir: str, refs: list, k: int, iters: int
 ) -> np.ndarray:
-    """Content-fingerprinted /tmp cache around :func:`_kmeans_centroids`
-    (the npy sibling of `_cached_refs`): one Lloyd run per (corpus
-    content, pins) serves kmeans assignment builds AND the outlier
-    query across processes. Atomic-rename publish; np.save round-trips
+    """Cached :func:`_kmeans_centroids` (a ``centroids.npy`` cache entry):
+    one Lloyd run per (corpus content, pins) serves kmeans assignment
+    builds AND the outlier query across processes; np.save round-trips
     float64 bit-exactly. ``refs`` may be a zero-arg CALLABLE producing
     the block refs — callers whose only use of the corpus is training
     (cluster_separation) then skip the read entirely on a cache hit."""
-    tag = _emb_tag(
-        sf_dir,
-        f"kmcent:k={k}:iters={iters}:cr={_KM_CENT_ROUND}:dr={_KM_DIST_ROUND}",
+
+    def build(tmp: str) -> np.ndarray:
+        cents = _kmeans_centroids(refs() if callable(refs) else refs, k, iters)
+        np.save(os.path.join(tmp, "centroids.npy"), cents)
+        return cents
+
+    return cache.get_or_build(
+        cache.entry(
+            "kmcent", sf_dir, "embeddings.parquet",
+            f"k={k}:iters={iters}:cr={_KM_CENT_ROUND}:dr={_KM_DIST_ROUND}",
+        ),
+        build,
+        _load_centroids,
     )
-    path = os.path.join(_SIM_CACHE_ROOT, f"kmcent-{tag}.npy")
-    if os.path.exists(path):
-        return np.load(path)
-    if callable(refs):
-        refs = refs()
-    cents = _kmeans_centroids(refs, k, iters)
-    os.makedirs(_SIM_CACHE_ROOT, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".npy", dir=_SIM_CACHE_ROOT)
-    os.close(fd)
-    np.save(tmp, cents)
-    os.replace(tmp, path)
-    return cents
 
 
 def _kmeans_centroids(refs: list, k: int, iters: int) -> np.ndarray:
@@ -1927,21 +1792,9 @@ _PQ_INDEX_ALGO_VERSION = 1  # bump when codes layout / encoding changes
 
 
 def _pq_index_dir(sf_dir: str) -> str:
-    """Content-fingerprinted per-corpus PQ index location under /tmp —
-    the `_ivf_index_dir` rule (path + algo version + size/mtime of every
-    embeddings file), so regenerated embeddings invalidate the index."""
-    import glob
-    import hashlib
-
-    h = hashlib.sha1(os.path.abspath(sf_dir).encode())
-    h.update(f"|pq{_PQ_INDEX_ALGO_VERSION}|{_PQ_M}|{_PQ_K}".encode())
-    pat = os.path.join(sf_dir, "embeddings.parquet")
-    paths = sorted(glob.glob(pat)) or sorted(
-        glob.glob(os.path.join(pat, "*.parquet")))
-    for p in paths:
-        st = os.stat(p)
-        h.update(f"|{os.path.basename(p)}:{st.st_size}:{st.st_mtime_ns}".encode())
-    return os.path.join(tempfile.gettempdir(), f"irr-pq-{h.hexdigest()[:12]}")
+    """The per-corpus PQ index entry."""
+    return cache.entry("pq", sf_dir, "embeddings.parquet",
+                       f"pq{_PQ_INDEX_ALGO_VERSION}|{_PQ_M}|{_PQ_K}")
 
 
 def _pq_encode_batch(t: pa.Table, books: list, S: int) -> pa.Table:

@@ -14,6 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import cache
 from ._util import ds_to_table, finalize
 
 _TOKEN_SPLIT = r"\s+"
@@ -3045,37 +3046,19 @@ _TI_PARTS = 16
 
 
 def _text_index_dir(sf_dir: str) -> str:
-    """Deterministic per-corpus inverted-index location under /tmp —
-    content-fingerprinted (size + mtime of every documents file) with
-    every layout parameter in the tag, so a corpus or constant change
-    can't serve a stale index."""
-    import glob
-    import hashlib
-    import os
-    import tempfile
-
-    h = hashlib.sha1(os.path.abspath(sf_dir).encode())
-    h.update(f"|ti{_TI_VERSION}:{_TI_PARTS}".encode())
-    pat = os.path.join(sf_dir, "documents.parquet")
-    paths = sorted(glob.glob(pat)) or sorted(
-        glob.glob(os.path.join(pat, "*.parquet"))
-    )
-    for p in paths:
-        st = os.stat(p)
-        h.update(f"|{os.path.basename(p)}:{st.st_size}:{st.st_mtime_ns}".encode())
-    return os.path.join(tempfile.gettempdir(), f"irr-textidx-{h.hexdigest()[:12]}")
+    """The per-corpus inverted-index entry, with every layout parameter
+    in the fingerprint."""
+    return cache.entry("textidx", sf_dir, "documents.parquet",
+                       f"ti{_TI_VERSION}:{_TI_PARTS}")
 
 
 def _text_index_meta(sf_dir: str) -> "tuple[str, dict] | None":
-    import json
     import os
 
+    from .similarity import _read_meta
+
     d = _text_index_dir(sf_dir)
-    mp = os.path.join(d, "meta.json")
-    if not os.path.exists(mp):
-        return None
-    with open(mp) as f:
-        return d, json.load(f)
+    return (d, _read_meta(d)) if os.path.isdir(d) else None
 
 
 def _ti_pid_paths(index_dir: str, meta: dict, sub: str = "postings") -> list:
@@ -3091,18 +3074,24 @@ def _ti_pid_paths(index_dir: str, meta: dict, sub: str = "postings") -> list:
     ]
 
 
-def build_text_index(
-    sf_dir: str, index_dir: str | None = None, P: int = _TI_PARTS
-) -> dict:
+def build_text_index(sf_dir: str) -> dict:
     """Build (or reuse) the physical inverted text index: one streamed
     tokenize pass writes ``postings/pid=K/`` (token-hash partitioned,
     one row per (token, doc) with its tf), a doc-keyed exchange folds
     ``doclens/pid=K/`` (one shard per doc-hash partition), and
-    ``meta.json`` pins (N, L, P, version). Publishes by atomic rename —
-    concurrent builders race safely, first wins."""
+    ``meta.json`` pins (N, L, P, version)."""
+    from .similarity import _read_meta
+
+    return cache.get_or_build(
+        _text_index_dir(sf_dir),
+        lambda tmp: _write_text_index(sf_dir, tmp),
+        _read_meta,
+    )
+
+
+def _write_text_index(sf_dir: str, scratch: str) -> dict:
     import json
     import os
-    import shutil
 
     import pyarrow.parquet as pqt
     import ray
@@ -3110,11 +3099,7 @@ def build_text_index(
     from .exchange import exchange_reduce, hash_key
 
     rd = _rd()
-    final = index_dir or _text_index_dir(sf_dir)
-    mp = os.path.join(final, "meta.json")
-    if os.path.exists(mp):
-        with open(mp) as f:
-            return json.load(f)
+    P = _TI_PARTS
     import glob
 
     pat = f"{sf_dir}/documents.parquet"
@@ -3150,7 +3135,6 @@ def build_text_index(
                          "tf": g.column("count_all").cast(pa.int64()),
                          "pid": pa.array(pid)})
 
-    scratch = f"{final}.building-{os.getpid()}"
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
     ds.map_batches(explode, batch_format="pyarrow").write_parquet(
@@ -3192,12 +3176,7 @@ def build_text_index(
             "n_docs": int(n_docs), "n_tokens": int(sum(ls))}
     with open(os.path.join(scratch, "meta.json"), "w") as f:
         json.dump(meta, f)
-    try:
-        os.rename(scratch, final)
-    except OSError:  # concurrent builder won the publish race
-        shutil.rmtree(scratch, ignore_errors=True)
-    with open(mp) as f:
-        return json.load(f)
+    return meta
 
 
 def _ti_top_terms(index_dir: str, meta: dict, n_terms: int) -> pa.Table:
@@ -4234,6 +4213,14 @@ _TREND_MIN_COUNT = 5
 _TREND_TOPK = 20
 
 
+def _burst_bp(cr: np.ndarray, ct: np.ndarray, nr: int, nt: int) -> np.ndarray:
+    """``10^4 * cr * nt // (ct * nr)`` per token, in exact Python ints
+    like the twin's HUGEINT: the int64 numerator wraps past 2^63 at
+    ~10^9 corpus tokens. The quotient is at most ``10^4 * nt / nr``."""
+    return np.array([(10_000 * r * nt) // (c * nr)
+                     for r, c in zip(cr.tolist(), ct.tolist())], np.int64)
+
+
 def trending_tokens(sf_dir: str) -> pa.Table:
     """Burst leaderboard: tokens over-represented in the RECENT corpus
     slice (top 20% of doc_ids, the data-derived ingest frontier) vs
@@ -4328,7 +4315,7 @@ def trending_tokens(sf_dir: str) -> pa.Table:
             return e
         tok = g.column("token").to_numpy(zero_copy_only=False)[keep]
         cr, ct = cr[keep], ct[keep]
-        burst = (10_000 * cr * nt) // (ct * nr)
+        burst = _burst_bp(cr, ct, nr, nt)
         order = np.lexsort((tok, -burst))[:_TREND_TOPK]
         return pa.table({
             "token": pa.array(tok[order], pa.string()),

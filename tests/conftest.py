@@ -5,6 +5,19 @@ from __future__ import annotations
 import pytest
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _private_cache_root(tmp_path_factory):
+    """Every cache entry the suite builds lands in a fresh directory: no
+    test passes on a warm entry left by an earlier run or by bench.py,
+    and the shared temp-dir root is never written."""
+    from image_report_ray import cache
+
+    root = cache.ROOT
+    cache.ROOT = str(tmp_path_factory.mktemp("irr-cache"))
+    yield
+    cache.ROOT = root
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import os

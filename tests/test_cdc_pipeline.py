@@ -435,6 +435,17 @@ def test_reshard_preserves_state_and_stream(ray_session, tmp_path):
     assert apply_epoch(Lake(dst_dir), 1, epochs[1], cfg5) is None
     assert canonical_state_table(Lake(dst_dir)).equals(golden())
 
+    # one destination partition: the split task's single return value
+    one_dir = str(tmp_path / "lake1")
+    res = reshard_lake(Lake(src_dir), one_dir, 1)
+    assert res["partitions"] == 1 and res["epoch"] == 1
+    assert canonical_state_table(Lake(one_dir)).equals(
+        canonical_state_table(Lake(src_dir))
+    )
+    summary = run_job(one_dir, d, EngineConfig(num_partitions=1))
+    assert summary["epochs_applied"] == 1
+    assert canonical_state_table(Lake(one_dir)).equals(golden())
+
 
 def test_reshard_desalts_hot_conversation(ray_session, tmp_path):
     """Resharding a SALTED lake re-co-locates each conversation under the
@@ -502,6 +513,28 @@ def test_bootstrap_then_wal_stream(ray_session, tmp_path):
 
     with _pytest.raises(ValueError):
         bootstrap_lake(src, lake_dir, 8)
+
+
+def test_bootstrap_one_partition_then_wal_stream(ray_session, tmp_path):
+    """Bootstrap into a one-partition lake (the split task's single
+    return value) equals the source; the WAL stream applies on top."""
+    import pyarrow.parquet as pq
+
+    from image_report_ray.pipelines.cdc import bootstrap_lake, discover_epochs
+
+    d = str(tmp_path / "wal")
+    write_wal(d, n_epochs=2, epoch_size=400, **GEN)
+    plain = apply_naive(full_changelog(1, 400, **GEN))
+    src = str(tmp_path / "corpus.parquet")
+    pq.write_table(plain, src)
+
+    lake_dir = str(tmp_path / "lake")
+    res = bootstrap_lake(src, lake_dir, 1, epoch=0)
+    assert res["rows_loaded"] == plain.num_rows
+    assert canonical_state_table(Lake(lake_dir)).equals(plain)
+    apply_epoch(Lake(lake_dir), 1, discover_epochs(d)[1],
+                EngineConfig(num_partitions=1))
+    assert canonical_state_table(Lake(lake_dir)).equals(golden(n_epochs=2))
 
 
 def test_changefeed_matches_naive_snapshot_diff(ray_session, tmp_path):

@@ -644,6 +644,7 @@ def test_similarity_subresult_cache_roundtrip(ray_session, tmp_path):
 
     import pyarrow.parquet as pq
 
+    from image_report_ray import cache
     from image_report_ray.pipelines import similarity as sim
 
     src = "/root/testdata/sf0.001/embeddings.parquet"
@@ -652,7 +653,7 @@ def test_similarity_subresult_cache_roundtrip(ray_session, tmp_path):
     shutil.copy(src, sf / "embeddings.parquet")
 
     cold = sim.kmeans_embed(str(sf))
-    tag1 = sim._emb_tag(str(sf), "probe")
+    tag1 = cache.entry("kmeans", str(sf), "embeddings.parquet", "probe")
     warm = sim.kmeans_embed(str(sf))
     assert cold.equals(warm)
 
@@ -663,7 +664,7 @@ def test_similarity_subresult_cache_roundtrip(ray_session, tmp_path):
     # touching the corpus changes the fingerprint -> rebuild, not reuse
     t = pq.read_table(sf / "embeddings.parquet")
     pq.write_table(t, sf / "embeddings.parquet")
-    assert sim._emb_tag(str(sf), "probe") != tag1
+    assert cache.entry("kmeans", str(sf), "embeddings.parquet", "probe") != tag1
     assert sim.kmeans_embed(str(sf)).equals(cold)  # same content, same answer
 
 

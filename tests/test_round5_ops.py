@@ -2252,6 +2252,44 @@ def test_rrf_hybrid_search_fusion(ray_session):
                for i in range(len(out) - 1))
 
 
+def test_rrf_hybrid_search_twin_when_legs_overlap(ray_session, tmp_path):
+    """On a 30-document corpus (doc_id == vec_id) both 20-deep legs
+    must share documents, so the cosine leg's ranks 11-20 reach the
+    fused scores: the engine equals its SQL twin through DuckDB."""
+    import duckdb
+
+    import __ray_entry__ as e
+    from image_report_ray.pipelines.text import rrf_hybrid_search
+
+    rng = np.random.default_rng(5)
+    n = 30
+    vocab = [f"t{i}" for i in range(12)]
+    texts = [" ".join(rng.choice(vocab, rng.integers(4, 12)))
+             for _ in range(n)]
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(n), pa.int64()),
+        "text": pa.array(texts),
+        "lang": pa.array(["en"] * n),
+        "source": pa.array(["s"] * n),
+        "n_chars": pa.array([len(t) for t in texts], pa.int64()),
+    }), tmp_path / "documents.parquet")
+    mat = rng.standard_normal((n, 16))
+    pq.write_table(pa.table({
+        "vec_id": pa.array(np.arange(n), pa.int64()),
+        "embedding": pa.array([list(map(float, r)) for r in mat],
+                              pa.list_(pa.float32())),
+    }), tmp_path / "embeddings.parquet")
+
+    got = rrf_hybrid_search(str(tmp_path))
+    con = duckdb.connect()
+    for name in ("documents", "embeddings"):
+        con.execute(f"CREATE VIEW {name} AS SELECT * FROM read_parquet("
+                    f"'{tmp_path}/{name}.parquet')")
+    want = con.execute(e.oracle_sql()["rrf_hybrid_search"]).arrow()
+    assert got.num_rows == 10
+    assert got.to_pylist() == want.to_pylist()
+
+
 def test_pii_census_bruteforce(ray_session):
     """Census equals a per-doc regex recount (re2-compatible patterns
     behave identically under Python re for these rules)."""
@@ -2600,6 +2638,19 @@ def test_trending_tokens_bruteforce(ray_session):
             for r in out] == exp
 
 
+def test_trending_burst_exact_past_int64():
+    """burst_bp closes in exact integers: 10^4 * cr * nt overflows int64
+    here, and the kernel still equals the Python-int result."""
+    from image_report_ray.pipelines.text import _burst_bp
+
+    cr = np.array([3 * 10**9, 7, 2**40], np.int64)
+    ct = np.array([4 * 10**9, 11, 2**41], np.int64)
+    nr, nt = 10**10, 4 * 10**10
+    assert 10_000 * int(cr[0]) * nt > 2**63
+    want = [(10_000 * int(r) * nt) // (int(c) * nr) for r, c in zip(cr, ct)]
+    assert _burst_bp(cr, ct, nr, nt).tolist() == want
+
+
 def test_user_lifetime_hist_bruteforce(ray_session):
     import pandas as pd
 
@@ -2703,8 +2754,8 @@ def test_ngram_pair_refs_cache_roundtrip(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import ray
 
+    from image_report_ray import cache
     from image_report_ray.pipelines.dedup import (
-        _doc_tag,
         _ngram_jaccard_pair_refs_build,
         ngram_jaccard_pair_refs,
     )
@@ -2718,7 +2769,7 @@ def test_ngram_pair_refs_cache_roundtrip(ray_session, tmp_path):
     fresh = pa.concat_tables(
         [t for t in ray.get(fresh_refs) if t.num_rows])
     r1, s1 = ngram_jaccard_pair_refs(sf)   # builds + publishes
-    tag1 = _doc_tag(sf, "ngjac:tau=0.2:P=16")
+    tag1 = cache.entry("ngjac", sf, "documents.parquet", "tau=0.2:P=16")
     r2, s2 = ngram_jaccard_pair_refs(sf)   # served from the cache
     c2 = pa.concat_tables([t for t in ray.get(r2) if t.num_rows])
     assert s1 == fresh_stats and s2 == fresh_stats
@@ -2727,7 +2778,7 @@ def test_ngram_pair_refs_cache_roundtrip(ray_session, tmp_path):
     # content change -> different fingerprint -> rebuild
     t = pq.read_table(src)
     pq.write_table(t.slice(0, 100), f"{sf}/documents.parquet")
-    tag2 = _doc_tag(sf, "ngjac:tau=0.2:P=16")
+    tag2 = cache.entry("ngjac", sf, "documents.parquet", "tau=0.2:P=16")
     assert tag1 != tag2
     r3, _ = ngram_jaccard_pair_refs(sf)
     c3 = pa.concat_tables([t for t in ray.get(r3) if t.num_rows] or
