@@ -258,8 +258,10 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 
 
 def cmd_changefeed(args: argparse.Namespace) -> int:
-    """Emit the row-level change feed of a committed epoch (derived from
-    adjacent time-travel snapshots) as parquet or a JSON row count.
+    """Emit the row-level change feed of a committed epoch (the net diff
+    of two time-travel snapshots, folding only the conversations the
+    newer delta files touch when the range added nothing but deltas) as
+    parquet or a JSON row count.
 
     Consumer-offset mode (``--cursor FILE``): the feed range resumes
     after the cursor's last consumed epoch and runs to the lake head
@@ -836,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
         "changefeed",
         parents=[lp],
         help="emit the row-level change feed of a committed epoch "
-             "(derived from adjacent snapshots — CDC out)",
+             "(the net diff of two snapshots — CDC out)",
     )
     cf.add_argument("lake_dir")
     cf.add_argument("--epoch", type=int, default=None,

@@ -56,12 +56,22 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import EngineConfig
-from ..schema import DELETED_COL, LSN_COL, PID_COL, concat_evolving
+from ..schema import (
+    DELETED_COL,
+    KEY_COLUMNS,
+    LSN_COL,
+    PID_COL,
+    concat_evolving,
+    conform,
+    unify_additive,
+)
 from ..stages.derive import make_add_pid, validate_changes
 from ..state.manifest import Lake, read_canonical, read_composition, stage_partition
 from ..state.merge import (
     MergeStats,
     compact_changes,
+    export_canonical,
+    fold_state_tables,
     merge_state_with_changes,
     sort_canonical,
 )
@@ -971,74 +981,130 @@ def bootstrap_lake(
     return {"epoch": int(epoch), "rows_loaded": int(loaded)}
 
 
+_FEED_KEYS = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32())])
+
+
+def _indexed_keys(t: "pa.Table | None", index: str) -> pa.Table:
+    """The key projection of one diff side plus its row numbers."""
+    keys = (_FEED_KEYS.empty_table() if t is None
+            else t.select(KEY_COLUMNS).cast(_FEED_KEYS))
+    return keys.append_column(
+        index, pa.array(np.arange(keys.num_rows, dtype=np.int64)))
+
+
+def _same(x0: pa.ChunkedArray, x1: pa.ChunkedArray) -> pa.ChunkedArray:
+    """Row-wise payload equality in which null (and float NaN) equals
+    null."""
+    both_null = pc.and_(pc.is_null(x0, nan_is_null=True),
+                        pc.is_null(x1, nan_is_null=True))
+    return pc.or_(pc.fill_null(pc.equal(x0, x1), False), both_null)
+
+
 def diff_snapshots(
     a: "pa.Table | None", b: "pa.Table | None"
 ) -> pa.Table:
     """PURE change-feed diff kernel: the row-level net effect between
     two canonical snapshot tables (live rows, payload columns, unique
-    (conv_id, turn_idx) keys). ``I`` = key appeared, ``D`` =
-    disappeared, ``U`` = any payload column changed; an identical
-    rewrite does not feed. Feed columns keep the snapshots' native
-    Arrow types (side-1 wins, side-0 covers columns dropped by
-    evolution, string only as the never-seen-anywhere fallback).
-    Property-tested against a dict-based naive diff; the remote
-    per-partition feed task is a thin wrapper."""
-    import pandas as pd
+    (conv_id, turn_idx) keys; ``None`` = no rows). ``I`` = key appeared,
+    ``D`` = disappeared (null payload), ``U`` = any payload column
+    changed, null equal to null; an identical rewrite does not feed.
+    Columns: ``op``, ``conv_id``, ``turn_idx`` and side 1's payload
+    columns in their native Arrow types (an empty side 1 feeds bare
+    ``D`` rows); a column only side 0 has is not compared. Sorted by
+    :func:`sort_canonical`.
 
-    def frame(t: "pa.Table | None"):
-        if t is None or t.num_rows == 0:
-            base = pd.DataFrame({"conv_id": [], "turn_idx": []})
-            return base, (t.schema if t is not None else None)
-        return t.to_pandas(), t.schema
+    Arrow only: a hash join of the two sides' key + row-number
+    projections, a ``take`` + ``equal`` per payload column over the
+    matched rows, then one ``take`` of side 1's payload. Property-tested
+    against a dict-based naive diff."""
+    a = a if a is not None and a.num_rows else None
+    b = b if b is not None and b.num_rows else None
+    payload = [] if b is None else [
+        c for c in b.column_names if c not in KEY_COLUMNS
+    ]
+    j = _indexed_keys(a, "_i0").join(
+        _indexed_keys(b, "_i1"), list(KEY_COLUMNS), join_type="full outer"
+    )
+    matched = pc.and_(pc.is_valid(j.column("_i0")),
+                      pc.is_valid(j.column("_i1")))
+    both = j.filter(matched)
+    changed = pa.array(np.zeros(both.num_rows, dtype=bool))
+    for c in payload:
+        x1 = b.column(c).take(both.column("_i1"))
+        if a is not None and c in a.column_names:
+            diff = pc.invert(_same(a.column(c).take(both.column("_i0")), x1))
+        else:  # added by evolution: feeds only where side 1 has a value
+            diff = pc.is_valid(x1)
+        changed = pc.or_(changed, diff)
+    j = sort_canonical(
+        pa.concat_tables([j.filter(pc.invert(matched)), both.filter(changed)])
+    )
+    i0, i1 = j.column("_i0"), j.column("_i1")
+    op = pc.if_else(pc.is_null(i1), "D", pc.if_else(pc.is_null(i0), "I", "U"))
+    cols = {"op": op, "conv_id": j.column("conv_id"),
+            "turn_idx": j.column("turn_idx")}
+    if payload:  # D rows take a null index: null payload
+        cols.update(zip(payload, b.select(payload).take(i1).columns))
+    return pa.table(cols)
 
-    (a_df, sch0), (b_df, sch1) = frame(a), frame(b)
-    # payload columns come from side 1 (a fully-emptied side 1 feeds
-    # bare D rows — deletes carry no after-image by contract)
-    payload = [c for c in b_df.columns if c not in ("conv_id", "turn_idx")]
-    m = a_df.merge(b_df, on=["conv_id", "turn_idx"], how="outer",
-                   suffixes=("_0", "_1"), indicator=True)
-    op = pd.Series("U", index=m.index)
-    op[m["_merge"] == "right_only"] = "I"
-    op[m["_merge"] == "left_only"] = "D"
-    both = m["_merge"] == "both"
-    changed = pd.Series(False, index=m.index)
-    for c in payload:
-        c0, c1 = f"{c}_0", f"{c}_1"
-        if c0 in m.columns and c1 in m.columns:
-            changed |= (m[c0] != m[c1]) & ~(m[c0].isna() & m[c1].isna())
-        elif c in m.columns:
-            changed |= both & m[c].notna()
-    keep = (m["_merge"] != "both") | (both & changed)
-    m = m[keep]
-    op = op[keep]
-    cols = {"op": pa.array(op.to_numpy(), pa.string()),
-            "conv_id": pa.array(m["conv_id"], pa.string()),
-            "turn_idx": pa.array(
-                m["turn_idx"].to_numpy().astype("int32"), pa.int32())}
-    for c in payload:
-        c1 = f"{c}_1"
-        src = m[c1] if c1 in m.columns else m[c]
-        # feed columns keep the lake's native Arrow types (the JSONL WAL
-        # path passes evolved columns through e.g. as int64); string is
-        # only the never-seen-anywhere fallback
-        if sch1 is not None and sch1.get_field_index(c) != -1:
-            typ = sch1.field(c).type
-        elif sch0 is not None and sch0.get_field_index(c) != -1:
-            typ = sch0.field(c).type
-        else:
-            typ = pa.string()
-        cols[c] = pa.Array.from_pandas(src, type=typ)
-    return sort_canonical(pa.table(cols))
+
+def _canonical(state: "pa.Table | None") -> "pa.Table | None":
+    return None if state is None else export_canonical(state)
 
 
 def _part_feed(paths0: list, paths1: list) -> pa.Table:
-    return diff_snapshots(read_canonical(paths0), read_canonical(paths1))
+    """One partition's feed between two compositions (base first, then
+    deltas), reading each file once.
+
+    When ``paths0`` is a prefix of ``paths1`` the chain only grew by
+    delta files. Committed files are immutable and their names are never
+    reused, so only conversations present in the new files can differ:
+    the prefix is filtered to them before both folds, and the old state
+    folds once and feeds the new one. Every other pair (a compaction,
+    GC, expiry or migration rewrite in the range, or no ``from``
+    snapshot) folds both compositions in full. An ``_lsn`` cut at the
+    ``from`` epoch's high-water mark would not be exact: a late event
+    below it still wins LWW for its key.
+
+    The result equals :func:`diff_snapshots` of the two full canonical
+    snapshots, schema included."""
+    tables = {p: pq.read_table(p) for p in dict.fromkeys([*paths0, *paths1])}
+    t0 = [tables[p] for p in paths0]
+    t1 = [tables[p] for p in paths1]
+    n = len(t0)
+    if not (n and paths1[:n] == paths0):
+        return diff_snapshots(_canonical(fold_state_tables(t0)),
+                              _canonical(fold_state_tables(t1)))
+    touched = pa.chunked_array(
+        [t.column("conv_id") for t in t1[n:]], pa.string()
+    ).unique()
+    hit = [pc.is_in(t.column("conv_id"), value_set=touched) for t in t0]
+    pre = fold_state_tables([t.filter(h) for t, h in zip(t0, hit)])
+    post = _canonical(fold_state_tables([pre, *t1[n:]]))
+    feed = diff_snapshots(_canonical(pre), post)
+    if post is None or not post.num_rows:
+        # the untouched conversations decide whether the full `to`
+        # snapshot is empty, which feeds bare D rows
+        rest = _canonical(fold_state_tables(
+            [t.filter(pc.invert(h)) for t, h in zip(t0, hit)]))
+        if rest is None or not rest.num_rows:
+            return feed
+    # side 1's payload columns as the full `to` snapshot has them
+    full = export_canonical(
+        unify_additive(*[t.schema for t in t1 if t.num_rows]).empty_table())
+    return conform(feed, pa.schema(
+        [feed.schema.field(c) for c in ("op", *KEY_COLUMNS)]
+        + [f for f in full.schema if f.name not in KEY_COLUMNS]))
 
 
 def changefeed_range_refs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
     """Per-partition change-feed refs for the NET effect of epochs
     ``(from_epoch, to_epoch]`` — the diff of the two time-travel
-    snapshots (the Delta `table_changes(from, to)` analogue). A consumer
+    snapshots (the Delta `table_changes(from, to)` analogue), computed
+    by one :func:`_part_feed` task per partition: when the range only
+    appended delta files to a partition's composition, it folds just the
+    conversations those files touch; otherwise it folds both
+    compositions in full. A consumer
     that catches up after missing several epochs reads ONE compacted
     feed instead of replaying each epoch's feed; intermediate churn
     (insert-then-delete, update-then-revert) nets out by construction.
@@ -1085,24 +1151,24 @@ def changefeed_range(lake: Lake, from_epoch: int, to_epoch: int) -> pa.Table:
         if t.num_rows
     ]
     if not tabs:
-        return pa.table(
-            {"op": pa.array([], pa.string()),
-             "conv_id": pa.array([], pa.string()),
-             "turn_idx": pa.array([], pa.int32())}
-        )
+        return diff_snapshots(None, None)
     return sort_canonical(concat_evolving(tabs))
 
 
 def changefeed(lake: Lake, epoch: int) -> pa.Table:
     """Change-data-feed OUT (the Delta-CDF analogue): the row-level net
-    effect of ``epoch``, derived from the manifest's adjacent time-travel
-    snapshots — no extra bookkeeping at write time, and it works
-    retroactively for any committed epoch because data files are
-    immutable. Per key: ``I`` = appeared, ``D`` = disappeared, ``U`` =
-    any payload column changed; an update that rewrote identical values
-    does not feed (net-effect semantics, same rule as the compacted
-    exchange). One diff task per partition (pid routing is stable across
-    epochs), vectorized outer merge; sorted (conv_id, turn_idx) output.
+    effect of ``epoch`` against the previous snapshot. Like Delta's
+    change feed it starts from the files the epoch added: under
+    merge-on-read an epoch appends one delta file per partition, and
+    only the conversations in it are folded and diffed (a compaction
+    epoch folds both snapshots in full). No extra bookkeeping at write
+    time, and it works retroactively for any committed epoch because
+    data files are immutable. Per key: ``I`` = appeared, ``D`` =
+    disappeared, ``U`` = any payload column changed; an update that
+    rewrote identical values does not feed (net-effect semantics, same
+    rule as the compacted exchange). One task per partition (pid routing
+    is stable across epochs), Arrow diff kernel
+    (:func:`diff_snapshots`); sorted (conv_id, turn_idx) output.
     This is the gather-to-driver convenience form — scale consumers use
     :func:`changefeed_refs` and handle each partition's feed in place.
     Catching up over several epochs at once: :func:`changefeed_range`."""
