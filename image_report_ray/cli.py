@@ -86,9 +86,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    owns = _init_ray(args.num_cpus)
-    from .pipelines.cdc import run_job
-
     cfg = EngineConfig(
         num_partitions=args.partitions,
         epoch_lookahead=args.lookahead,
@@ -101,6 +98,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         compact_rows_factor=getattr(args, "compact_rows_factor", None),
         views=tuple(v for v in (args.views or "").split(",") if v),
     )
+    owns = _init_ray(args.num_cpus)
+    from .pipelines.cdc import run_job
+
     if getattr(args, "follow", False):
         from .pipelines.cdc import tail_job
 
@@ -704,9 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alias: cow (the default) means --compact-every 1, "
                         "a full state rewrite every epoch; mor keeps "
                         "--compact-every")
-    r.add_argument("--compact-every", type=positive_int, default=8,
+    r.add_argument("--compact-every", type=positive_int, default=None,
                    help="with --merge-mode mor: epochs per composition "
-                        "(base + deltas) before a compaction")
+                        "(base + deltas) before a compaction (default 8)")
     r.add_argument("--compact-rows-factor", type=float, default=None,
                    dest="compact_rows_factor",
                    help="mor: also compact a partition once its delta "

@@ -107,12 +107,14 @@ class EngineConfig:
     num_partitions: int = 16          # P: fixed across cluster sizes; >= 4N actors
     map_task_rows: int = 131_072      # target WAL rows per exchange map task
     epoch_lookahead: int = 1          # map stages pre-submitted beyond current epoch
-    merge_mode: InitVar[str] = "cow"  # construction-only alias: "cow" sets
+    merge_mode: InitVar[str] = "cow"  # construction-only alias: "cow" means
                                       # compact_every=1, "mor" keeps it
-    compact_every: int = 8            # files per composition (base + deltas)
+    compact_every: "int | None" = None
+                                      # files per composition (base + deltas)
                                       # before the merge folds it into one; the
                                       # epochs between write only their delta
-                                      # (10^10-event path: cost ~ O(delta))
+                                      # (10^10-event path: cost ~ O(delta));
+                                      # None: 1 under "cow", 8 under "mor"
     compact_rows_factor: "float | None" = None
                                       # ALSO compact a partition once its
                                       # accumulated delta rows reach this fraction
@@ -134,7 +136,14 @@ class EngineConfig:
         if merge_mode not in ("cow", "mor"):
             raise ValueError(f"merge_mode must be cow|mor, got {merge_mode!r}")
         if merge_mode == "cow":
+            if self.compact_every not in (None, 1):
+                raise ValueError(
+                    f"compact_every={self.compact_every} needs merge_mode='mor'; "
+                    "merge_mode='cow' rewrites the full state every epoch"
+                )
             self.compact_every = 1
+        elif self.compact_every is None:
+            self.compact_every = 8
         self.num_partitions = positive_int(self.num_partitions)
         self.salt_factor = positive_int(self.salt_factor)
         self.compact_every = positive_int(self.compact_every)

@@ -39,10 +39,7 @@ CHANGE_SCHEMA = pa.schema(
 # Internal state metadata columns (never exported in the canonical table).
 LSN_COL = "_lsn"          # last-applied lsn for the row
 DELETED_COL = "_deleted"  # tombstone marker (kept for late/duplicate safety)
-SEEN_COL = "_seen"        # combiner: events folded into this surviving row
-DUPS_COL = "_dups"        # combiner: duplicate-lsn events dropped
 PID_COL = "_pid"          # routing partition id
-META_COLS = (LSN_COL, DELETED_COL, SEEN_COL, DUPS_COL, PID_COL)
 
 VALID_OPS = ("I", "U", "D")
 

@@ -253,7 +253,7 @@ class Lake:
 def read_composition(paths: list[str]) -> pa.Table | None:
     """Read one partition's composition (base first, then deltas) and
     LWW-fold it to a single state table; ``None`` when it holds no rows."""
-    return fold_state_tables([pq.read_table(p) for p in paths])
+    return fold_state_tables([pq.ParquetFile(p).read() for p in paths])
 
 
 def read_canonical(paths: list[str]) -> pa.Table | None:

@@ -16,11 +16,13 @@ library-surface discipline, SURVEY.md §3 entry point 3). Kernels are
 vectorized: Arrow sort + numpy boundary/reduceat group ops; no Python
 row loops.
 
-LWW is associative given the total lsn order: the global winner of a key is
-the winner among per-batch winners. That makes :func:`compact_changes` a
-safe pre-shuffle combiner — it folds each batch down to one surviving event
-per key while carrying exact per-op received counts, so the shuffle moves
-O(keys) rows instead of O(events) and lineage ledgers stay exact.
+One kernel, :func:`_lww`, resolves last-writer-wins for every caller:
+the epoch merge, :func:`fold_state_tables` (merge-on-read, compaction)
+and through it ``read_composition`` and the change feed's folds. It
+stacks its inputs and sorts them once by key, ``_lsn`` and source; per
+key the last row wins. The merge derives its whole ledger from that one
+sorted table, so every count is exact however the epoch's events were
+grouped into map tasks — the map side only validates and routes.
 """
 
 from __future__ import annotations
@@ -35,16 +37,14 @@ from ..schema import (
     DELETED_COL,
     KEY_COLUMNS,
     LSN_COL,
-    SchemaEvolutionError,
-    concat_evolving,
     conform,
     unify_additive,
 )
 
-# Combiner accounting columns (carried through the shuffle; see module doc).
+# compact_changes' per-row counters (folded events per op, dropped dups).
 SEEN_I, SEEN_U, SEEN_D, DUPS = "_seen_i", "_seen_u", "_seen_d", "_dups"
 ACCT_COLS = (SEEN_I, SEEN_U, SEEN_D, DUPS)
-SRC_COL = "_src"  # 0 = incoming event, 1 = existing state (wins lsn ties)
+SRC_COL = "_src"  # _lww input index: a later table wins lsn ties
 
 # The canonical key order: state files, exports and feeds are all sorted
 # by it, and the LWW sorts below extend it with (lsn, source).
@@ -72,19 +72,6 @@ def _key_codes(table: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     return codes, turns
 
 
-def _group_layout(table_sorted: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-    """(group_starts, winner_indices) for a table sorted by key then lsn."""
-    n = table_sorted.num_rows
-    codes, turns = _key_codes(table_sorted)
-    new_key = np.empty(n, dtype=bool)
-    new_key[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=new_key[1:])
-    np.logical_or(new_key[1:], turns[1:] != turns[:-1], out=new_key[1:])
-    starts = np.flatnonzero(new_key)
-    winners = np.concatenate([starts[1:] - 1, [n - 1]])
-    return starts, winners
-
-
 def _ensure_accounting(changes: pa.Table) -> pa.Table:
     """Attach per-op received counters to a raw (uncompacted) changelog."""
     if SEEN_I in changes.column_names:
@@ -99,12 +86,15 @@ def _ensure_accounting(changes: pa.Table) -> pa.Table:
 
 
 def compact_changes(changes: pa.Table) -> pa.Table:
-    """Pre-shuffle combiner: one surviving event per key, exact accounting.
+    """Combiner: one surviving event per key, with its folded counters.
 
     Keeps, per ``(conv_id, turn_idx)``, the event with the greatest ``lsn``;
     drops duplicate-lsn deliveries (counted into ``_dups``); folds the
     superseded events' op counts into the survivor's ``_seen_*`` columns.
-    Idempotent: re-compacting compacted output is a no-op.
+    Idempotent: re-compacting compacted output is a no-op. The engine
+    does not run it (a batch-local fold cannot tell a re-delivery in
+    another batch from a stale event); :func:`merge_state_with_changes`
+    accepts its output and sums the carried counters.
     """
     if changes.num_rows == 0:
         return _ensure_accounting(changes)
@@ -183,6 +173,38 @@ def changes_to_state_rows(changes: pa.Table) -> pa.Table:
     return payload
 
 
+def _lww(
+    tables: "list[pa.Table]", schema: pa.Schema | None = None
+) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+    """The last-writer-wins kernel under every merge and fold.
+
+    Conforms the state-layout ``tables`` to ``schema`` (default: their
+    additive union in list order), stacks them with their list index as
+    ``_src`` and runs one stable sort by key, ``_lsn``, ``_src``. A key's
+    winner is its last sorted row: the greatest ``_lsn``, a tie going to
+    the later table and, within one table, to the later row. Returns the
+    sorted table (``_src`` included), its key-start mask and the winner
+    row indices."""
+    target = schema or unify_additive(*[t.schema for t in tables])
+    src = np.repeat(
+        np.arange(len(tables), dtype=np.int32), [t.num_rows for t in tables]
+    )
+    stacked = pa.concat_tables([conform(t, target) for t in tables])
+    stacked = stacked.append_column(SRC_COL, pa.array(src))
+    idx = pc.sort_indices(
+        stacked,
+        sort_keys=[*KEY_ORDER, (LSN_COL, "ascending"), (SRC_COL, "ascending")],
+    )
+    t = stacked.take(idx)
+    codes, turns = _key_codes(t)
+    n = t.num_rows
+    new_key = np.ones(n, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=new_key[1:])
+    np.logical_or(new_key[1:], turns[1:] != turns[:-1], out=new_key[1:])
+    winners = np.flatnonzero(np.append(new_key[1:], True))
+    return t, new_key, winners
+
+
 def merge_state_with_changes(
     state: pa.Table | None,
     changes: pa.Table,
@@ -190,34 +212,37 @@ def merge_state_with_changes(
     prior_last_lsn: int = -1,
     track_hot_keys: int = 0,
 ) -> tuple[pa.Table, MergeStats]:
-    """Apply a compacted-or-raw change batch to a partition's state table.
+    """Apply a raw (or :func:`compact_changes`) change batch to a
+    partition's state table.
 
     ``state`` layout: payload columns + ``_lsn`` + ``_deleted`` (tombstones
     retained — late or duplicate deliveries for a deleted key must not
-    resurrect it). Ties on ``lsn`` between an incoming event and existing
-    state resolve to state (the event is a re-delivery: skipped, counted).
-    Schemas may differ additively (evolution: null-fill via unify).
-    """
+    resurrect it). One :func:`_lww` sort of ``[incoming, state]`` decides
+    the state and the ledger: an event whose key and ``lsn`` repeat an
+    earlier event of the batch is a duplicate; a tie on ``lsn`` with
+    existing state resolves to state (the event is stale); among equal
+    duplicates the last copy wins. Schemas may differ additively
+    (evolution: null-fill via unify, state's columns first)."""
     stats = MergeStats(last_lsn=prior_last_lsn)
-    changes = compact_changes(changes)
-
-    seen_i = int(pc.sum(changes.column(SEEN_I)).as_py() or 0) if changes.num_rows else 0
-    seen_u = int(pc.sum(changes.column(SEEN_U)).as_py() or 0) if changes.num_rows else 0
-    seen_d = int(pc.sum(changes.column(SEEN_D)).as_py() or 0) if changes.num_rows else 0
-    dup_in = int(pc.sum(changes.column(DUPS)).as_py() or 0) if changes.num_rows else 0
-    stats.received_i, stats.received_u, stats.received_d = seen_i, seen_u, seen_d
-    stats.received = seen_i + seen_u + seen_d
-    stats.dup_skipped = dup_in
+    if SEEN_I in changes.column_names:  # compact_changes output
+        counts = [changes.column(c) for c in (SEEN_I, SEEN_U, SEEN_D)]
+        dups = int(pc.sum(changes.column(DUPS)).as_py() or 0)
+        changes = changes.drop_columns(list(ACCT_COLS))
+    else:
+        op = changes.column("op")
+        counts = [pc.cast(pc.equal(op, code), pa.int64()) for code in "IUD"]
+        dups = 0
+    stats.received_i, stats.received_u, stats.received_d = (
+        int(pc.sum(c).as_py() or 0) for c in counts
+    )
+    stats.received = stats.received_i + stats.received_u + stats.received_d
 
     if track_hot_keys and changes.num_rows:
-        # Top-k hottest conversations by folded event count — the lineage
+        # Top-k hottest conversations by event count — the lineage
         # analogue of the reference's top-3 ranked candidates
         # (/root/reference/ir:86-97). Vectorized: Arrow hash-group-by +
         # sort, ties broken by conv_id descending (heapq.nlargest order).
-        total = pc.add(
-            pc.add(changes.column(SEEN_I), changes.column(SEEN_U)),
-            changes.column(SEEN_D),
-        )
+        total = pc.add(pc.add(counts[0], counts[1]), counts[2])
         agg = pa.table({"conv_id": changes.column("conv_id"), "n": total}).group_by(
             "conv_id"
         ).aggregate([("n", "sum")])
@@ -230,52 +255,31 @@ def merge_state_with_changes(
                 (int(x) for x in top.column("n_sum").to_pylist()))
         )
 
-    incoming = changes_to_state_rows(
-        changes.drop_columns([c for c in ACCT_COLS if c in changes.column_names])
-    )
+    incoming = changes_to_state_rows(changes)
     if changes.num_rows:
         stats.last_lsn = max(prior_last_lsn, int(pc.max(changes.column("lsn")).as_py()))
 
     if state is None or state.num_rows == 0:
-        merged_input = incoming
-        src = np.zeros(incoming.num_rows, dtype=np.int8)
-        target_schema = incoming.schema
+        if incoming.num_rows == 0:
+            stats.check()
+            return incoming, stats
+        t, new_key, winners = _lww([incoming], incoming.schema)
     else:
-        target_schema = unify_additive(state.schema, incoming.schema)
-        state_c = conform(state, target_schema)
-        incoming_c = conform(incoming, target_schema)
-        merged_input = pa.concat_tables([incoming_c, state_c])
-        src = np.concatenate(
-            [np.zeros(incoming_c.num_rows, dtype=np.int8), np.ones(state_c.num_rows, dtype=np.int8)]
+        t, new_key, winners = _lww(
+            [incoming, state], unify_additive(state.schema, incoming.schema)
         )
 
-    if merged_input.num_rows == 0:
-        empty = merged_input
-        stats.check()
-        return empty, stats
-
-    merged_input = merged_input.append_column(SRC_COL, pa.array(src))
-    idx = pc.sort_indices(
-        merged_input,
-        sort_keys=[
-            *KEY_ORDER,
-            (LSN_COL, "ascending"),
-            (SRC_COL, "ascending"),  # state after events at equal lsn -> state wins
-        ],
-    )
-    t = merged_input.take(idx)
-    _, winners = _group_layout(t)
-
-    win_src = _np(t.column(SRC_COL))[winners]
-    applied_keys = int((win_src == 0).sum())
+    src = _np(t.column(SRC_COL))
+    lsn = _np(t.column(LSN_COL))
+    incoming_dup = (~new_key[1:]) & (lsn[1:] == lsn[:-1]) & (src[1:] == 0)
+    stats.dup_skipped = dups + int(incoming_dup.sum())
+    stats.applied = int((src[winners] == 0).sum())
+    stats.stale_skipped = stats.received - stats.dup_skipped - stats.applied
 
     new_state = t.take(pa.array(winners)).drop_columns([SRC_COL])
-    deleted = _np(new_state.column(DELETED_COL))
     stats.keys_total = new_state.num_rows
-    stats.tombstoned = int(deleted.sum())
+    stats.tombstoned = int(_np(new_state.column(DELETED_COL)).sum())
     stats.rows_live = stats.keys_total - stats.tombstoned
-    stats.applied = applied_keys
-    stats.stale_skipped = stats.received - stats.dup_skipped - stats.applied
     stats.check()
     return new_state, stats
 
@@ -293,18 +297,7 @@ def fold_state_tables(tables: "list[pa.Table | None]") -> pa.Table | None:
         return None
     if len(tables) == 1:
         return tables[0]
-    target = unify_additive(*[t.schema for t in tables])
-    conformed = [conform(t, target) for t in tables]
-    src = np.concatenate(
-        [np.full(t.num_rows, i, dtype=np.int32) for i, t in enumerate(conformed)]
-    )
-    merged = pa.concat_tables(conformed).append_column(SRC_COL, pa.array(src))
-    idx = pc.sort_indices(
-        merged,
-        sort_keys=[*KEY_ORDER, (LSN_COL, "ascending"), (SRC_COL, "ascending")],
-    )
-    t = merged.take(idx)
-    _, winners = _group_layout(t)
+    t, _, winners = _lww(tables)
     return t.take(pa.array(winners)).drop_columns([SRC_COL])
 
 

@@ -100,6 +100,42 @@ def test_determinism_two_runs_byte_identical(ray_session, tmp_path, wal):
             assert a.read() == b.read(), f"pid {pid} state file not byte-identical"
 
 
+def test_ledger_is_exact_for_any_task_grouping(ray_session, tmp_path):
+    """The merge ledger does not depend on how the epoch's events are
+    grouped into map tasks: three map_task_rows values and a Dataset at
+    two block counts sum to the same counts, and dup_skipped is exactly
+    the WAL's repeated (conv_id, turn_idx, lsn) rows."""
+    import pyarrow.parquet as pq
+    import ray
+
+    files = write_wal(str(tmp_path / "wal"), n_epochs=1, epoch_size=4000,
+                      n_parts=8, seed=5, n_convs=40, max_turns=8, dup_rate=0.05)
+    wal = pa.concat_tables([pq.read_table(f) for f in files])
+    repeats = wal.num_rows - wal.group_by(["conv_id", "turn_idx", "lsn"]).aggregate(
+        []).num_rows
+    assert repeats > 0
+    expect = apply_naive(wal)
+    fields = ("received", "applied", "stale_skipped", "dup_skipped")
+    inputs = {f"map_task_rows={n}": (files, n) for n in (1 << 20, 1000, 500)}
+    for blocks in (2, 8):
+        ds = ray.data.read_parquet(files, partitioning=None).repartition(
+            blocks).materialize()
+        assert ds.num_blocks() == blocks
+        inputs[f"dataset blocks={blocks}"] = (ds, 1 << 20)
+    ledgers = {}
+    for i, (name, (source, rows)) in enumerate(inputs.items()):
+        lake = Lake(str(tmp_path / f"lake{i}"), num_partitions=8)
+        stats = apply_epoch(lake, 0, source,
+                            EngineConfig(num_partitions=8, map_task_rows=rows))
+        ledgers[name] = tuple(sum(getattr(s, f) for s in stats.values())
+                              for f in fields)
+        assert canonical_state_table(lake).equals(expect), name
+    assert len(set(ledgers.values())) == 1, ledgers
+    received, applied, stale, dups = ledgers["map_task_rows=500"]
+    assert received == wal.num_rows
+    assert dups == repeats
+
+
 def test_schema_evolution_through_pipeline(ray_session, tmp_path):
     d = str(tmp_path / "wal")
     write_wal(d, n_epochs=4, epoch_size=300, seed=5, n_convs=40, max_turns=8,

@@ -228,16 +228,22 @@ def test_part_feed_reads_each_file_once_and_folds_only_touched(
     reads: list[str] = []
     folded: list[int] = []
     read_table, fold = cdc.pq.read_table, cdc.fold_state_tables
+    parquet_file = cdc.pq.ParquetFile
 
     def counting_read(path, *a, **k):
         reads.append(path)
         return read_table(path, *a, **k)
+
+    def counting_open(path, *a, **k):
+        reads.append(path)
+        return parquet_file(path, *a, **k)
 
     def counting_fold(tables):
         folded.append(sum(t.num_rows for t in tables if t is not None))
         return fold(tables)
 
     monkeypatch.setattr(cdc.pq, "read_table", counting_read)
+    monkeypatch.setattr(cdc.pq, "ParquetFile", counting_open)
     monkeypatch.setattr(cdc, "fold_state_tables", counting_fold)
     feed = cdc._part_feed([base], [base, delta])
 

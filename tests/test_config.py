@@ -61,3 +61,14 @@ def test_engine_config_validation():
         EngineConfig(num_partitions=0)
     cfg = EngineConfig()
     assert cfg.num_partitions > 0
+
+
+def test_compact_every_follows_merge_mode():
+    # cow: every epoch rewrites the full state
+    assert EngineConfig().compact_every == 1
+    assert EngineConfig(compact_every=1).compact_every == 1
+    with pytest.raises(ValueError, match="merge_mode='mor'"):
+        EngineConfig(compact_every=4)
+    # mor: an explicit chain length is kept, else 8
+    assert EngineConfig(merge_mode="mor", compact_every=4).compact_every == 4
+    assert EngineConfig(merge_mode="mor").compact_every == 8
