@@ -4,10 +4,13 @@ Engine lifecycle (SURVEY.md §3), one epoch::
 
     WAL files / changelog Dataset                  # source (S1/S3: epoch order)
       -> map stage (Ray tasks, one per ~map_task_rows of input):
-           validate -> route -> split into P sub-tables in WAL order
-           (returned as P+1 separate objects: P slices + a skip count)
-      -> reduce stage (P Ray tasks): per-partition LWW merge against the
-           committed prior state (one sort per event, exact ledger),
+           validate -> route -> split into P sub-tables in WAL order,
+           grouped G ways, G = min(P, cluster CPUs): group g holds the
+           slices of pids g, g + G, ... (G+1 objects: G groups + a skip
+           count)
+      -> reduce stage (G Ray tasks, one per group): each merges its
+           group's partitions in turn — per-partition LWW merge against
+           the committed prior state (one sort per event, exact ledger),
            staged Parquet write, stats row
       -> per-partition lineage XML                 # the reference's report graft
       -> atomic commit manifest                    # exactly-once promotion
@@ -19,10 +22,20 @@ streaming executor that barrier turns the sort-based ``groupby`` shuffle
 into a serial choke point (the executor also reserves CPU slots per
 operator, so a 4-operator pipeline at small CPU counts runs each phase
 ~2-wide; measured: 2->8 CPUs gave only 1.26x).  The two-stage object-store
-exchange here is the textbook map/reduce shuffle — map tasks return P
-slices (``num_returns=P``), reduce tasks consume one column of the ref
-matrix — and measures 2.9x from 2->8 CPUs on the same input.  Dataset
-remains the API for sources and stateless stages; a changelog Dataset is
+exchange here is the textbook map/reduce shuffle — map tasks return one
+object per merge group (``num_returns=G+1``), merge task g consumes
+column g of the ref matrix.  Its per-partition form measured 2.9x
+from 2->8 CPUs on the same input.  At small epochs a Ray shuffle's cost
+follows its object and task counts more than its bytes: with one object
+and one task per partition, that cost exceeded the merge work at the
+benchmark's epoch sizes.  One per CPU slot keeps the exchange as wide
+as the cluster and no wider.  Partition is still the unit of state: each one
+is merged, written, digested and reported on its own, so files and
+commits do not depend on G.  The grouping is static (``pid % G``), so
+per-partition tasks no longer balance load dynamically: a group holding
+a hot partition finishes last, and salting a hot conversation
+(``salt_keys``) stays the remedy for that skew.  Dataset remains
+the API for sources and stateless stages; a changelog Dataset is
 accepted directly (its blocks feed the same split tasks).
 
 Scale notes (100 TB design): the exchange moves every valid event once,
@@ -73,7 +86,7 @@ from ..stages.derive import make_add_pid, validate_changes
 from ..state.manifest import Lake, read_canonical, read_composition, stage_partition
 from ..state.merge import (
     MergeStats,
-    export_canonical,
+    _live_payload,
     fold_state_tables,
     merge_state_with_changes,
     sort_canonical,
@@ -281,7 +294,14 @@ def _remote(fn):
     return _REMOTES[fn]
 
 
-def _map_files(files: list[str], P: int, salt_keys, salt_factor, cont: bool):
+def _group_slices(slices: tuple, G: int) -> tuple:
+    """The exchange's grouping: ``G`` tuples of partition slices, group
+    ``g`` holding pids ``g, g + G, g + 2G, ...`` in pid order."""
+    return tuple(slices[g::G] for g in range(G))
+
+
+def _map_files(files: list[str], P: int, G: int, salt_keys, salt_factor,
+               cont: bool):
     # Malformed-file policy mirrors the reference's unreadable-image
     # handling (reference ir:384-388 None-check + counted
     # failure): keep-going skips and logs the bad file; fail-fast
@@ -304,23 +324,28 @@ def _map_files(files: list[str], P: int, salt_keys, salt_factor, cont: bool):
                 "skipping unreadable WAL file %s: %s", f, exc
             )
     if not tables:
-        return tuple(pa.table({}) for _ in range(P)) + (skipped,)
-    t = concat_evolving(tables)
-    return prepare_and_split(
-        t, P, salt_keys, salt_factor, continue_on_error=cont
-    ) + (skipped,)
+        return _group_slices((pa.table({}),) * P, G) + (skipped,)
+    slices = prepare_and_split(
+        concat_evolving(tables), P, salt_keys, salt_factor,
+        continue_on_error=cont,
+    )
+    return _group_slices(slices, G) + (skipped,)
 
 
-def _map_block(block: pa.Table, P: int, salt_keys, salt_factor, cont: bool):
-    return prepare_and_split(
+def _map_block(block: pa.Table, P: int, G: int, salt_keys, salt_factor,
+               cont: bool):
+    slices = prepare_and_split(
         block, P, salt_keys, salt_factor, continue_on_error=cont
-    ) + (0,)
+    )
+    return _group_slices(slices, G) + (0,)
 
 
-def _merge_part(pid, prior_paths, prior_lsn, lake_root, epoch, hot_k,
-                mnames, vnames, view_rels, *parts):
-    """The one merge task. With ``prior_paths`` it is a compaction: fold
-    the prior composition (base + deltas) and apply the epoch on top,
+def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, parts,
+                lake_root, epoch, mnames):
+    """Merge one partition's slices, in map-task order; ``None`` when the
+    epoch has no events for it (its committed entry stands, and its prior
+    state is not read). With ``prior_paths`` it is a compaction: fold the
+    prior composition (base + deltas) and apply the epoch on top,
     writing a full state file (+ any registered materialized views —
     only a compaction has the full state to compute them from). Empty
     ``prior_paths`` (a fresh partition, or a delta epoch, which gets no
@@ -331,6 +356,9 @@ def _merge_part(pid, prior_paths, prior_lsn, lake_root, epoch, hot_k,
     maintenance can run incrementally; the conversations in the
     deltas (``prior_paths[1:]``, changes folded since that view's
     snapshot) join the affected set."""
+    parts = [p for p in parts if p.num_rows]
+    if not parts:
+        return None
     prior = read_composition(prior_paths)
     prior_views: dict[str, pa.Table] = {}
     for vname, rel in view_rels.items():
@@ -350,10 +378,23 @@ def _merge_part(pid, prior_paths, prior_lsn, lake_root, epoch, hot_k,
             ).astype(object)
         )
     return merge_partition_kernel(
-        pid, list(parts), prior, prior_lsn, lake_root, epoch, hot_k,
+        pid, parts, prior, prior_lsn, lake_root, epoch, 3,
         metric_names=mnames, view_names=vnames,
         prior_views=prior_views, affected_extra=affected_extra,
     )
+
+
+def _merge_group(lake_root, epoch, mnames, jobs, *objs):
+    """The one merge task: one per exchange group. ``jobs`` are the
+    group's partitions in pid order, ``objs`` the group's object from
+    each map task, holding their slices in the same order. Runs
+    :func:`_merge_part` for each partition in turn; returns their rows."""
+    rows = []
+    for k, job in enumerate(jobs):
+        row = _merge_part(*job, [o[k] for o in objs], lake_root, epoch, mnames)
+        if row is not None:
+            rows.append(row)
+    return rows
 
 
 def _group_files(files: list[str], target_rows: int) -> list[list[str]]:
@@ -377,22 +418,40 @@ def _group_files(files: list[str], target_rows: int) -> list[list[str]]:
     return groups
 
 
+def _group_count(P: int) -> int:
+    """G, the exchange's group count: one merge task per CPU slot of the
+    cluster, never more than one per partition."""
+    import ray
+
+    ray.get_runtime_context()  # starts Ray if needed, as a first .remote() would
+    return max(1, min(P, int(ray.cluster_resources().get("CPU", 1))))
+
+
 def submit_map_stage(
     lake: Lake, wal: "str | list[str] | object", cfg: EngineConfig
 ) -> list:
     """Launch the epoch's map tasks; returns the list of per-task ref
-    tuples (each has P+1 object refs: one per partition, plus the task's
-    skipped-file count in the last slot). ``num_returns`` is always
-    >= 2, so Ray returns a real list even at ``num_partitions=1``."""
+    tuples. Each has G+1 object refs, ``G = min(P, cluster CPUs)``: one
+    per merge group (the slices of pids ``g, g + G, ...``), plus the
+    task's skipped-file count in the last slot. ``num_returns`` is
+    always >= 2, so Ray returns a real list even when G is 1.
+
+    ``wal`` is a file, a list of files or a ``ray.data.Dataset`` whose
+    blocks each feed one map task. Read a WAL directory into a Dataset
+    with ``partitioning=None``: Ray Data's default hive partitioning
+    adds an ``epoch`` string column from the ``epoch=K/`` directory
+    names, which validation passes as additive evolution into every
+    state row."""
     P = lake.num_partitions
-    args = (P, lake.salt_keys, lake.salt_factor, cfg.continue_on_error)
+    G = _group_count(P)
+    args = (P, G, lake.salt_keys, lake.salt_factor, cfg.continue_on_error)
     if isinstance(wal, str):
         wal = [wal]
     if isinstance(wal, list):
-        task = _remote(_map_files).options(num_returns=P + 1)
+        task = _remote(_map_files).options(num_returns=G + 1)
         return [task.remote(g, *args) for g in _group_files(wal, cfg.map_task_rows)]
     # a ray.data.Dataset: execute its (lazy) plan; blocks feed split tasks.
-    task = _remote(_map_block).options(num_returns=P + 1)
+    task = _remote(_map_block).options(num_returns=G + 1)
     return [task.remote(r, *args) for r in wal.to_arrow_refs()]
 
 
@@ -409,7 +468,9 @@ def apply_epoch(
 
     ``map_refs`` lets ``run_job`` pre-submit the map stage (lookahead
     pipelining); correctness is unaffected because map tasks don't touch
-    state — only merges read the prior commit."""
+    state — only merges read the prior commit. The group count G is
+    read back from the map refs, so merges always match the map tasks
+    that fed them; one :func:`_merge_group` task runs per group."""
     import ray
 
     cfg = cfg or EngineConfig(num_partitions=lake.num_partitions)
@@ -417,6 +478,7 @@ def apply_epoch(
         return None
 
     mats = map_refs if map_refs is not None else submit_map_stage(lake, wal, cfg)
+    G = len(mats[0]) - 1 if mats else 0  # no map task: nothing to merge
 
     from ..functions.metrics import select_metrics
 
@@ -427,8 +489,7 @@ def apply_epoch(
     }
     lsns = {pid: e["last_lsn"] for pid, e in current.items()}
 
-    merge = _remote(_merge_part)
-    stat_refs = []
+    jobs = []
     compacted: dict[int, bool] = {}
     for pid in range(lake.num_partitions):
         prior = [os.path.join(lake.root, r) for r in rel_sets.get(pid, [])]
@@ -464,13 +525,13 @@ def apply_epoch(
             }
         else:  # a delta: no prior read, no views
             prior, views, view_rels = [], (), {}
-        stat_refs.append(
-            merge.remote(
-                pid, prior, lsns.get(pid, -1), lake.root, epoch, 3, mnames,
-                views, view_rels, *[m[pid] for m in mats],
-            )
-        )
-    rows = [r for r in ray.get(stat_refs) if r is not None]
+        jobs.append((pid, prior, lsns.get(pid, -1), views, view_rels))
+    merge = _remote(_merge_group)
+    groups = ray.get([
+        merge.remote(lake.root, epoch, mnames, jobs[g::G], *[m[g] for m in mats])
+        for g in range(G)
+    ])
+    rows = sorted((r for g in groups for r in g), key=lambda r: r["pid"])
 
     entries: dict[int, dict] = {}
     out_stats: dict[int, MergeStats] = {}
@@ -572,7 +633,6 @@ def run_job(
         salt_keys=salt_keys,
         salt_factor=cfg.salt_factor,
     )
-    P = lake.num_partitions
     epochs = discover_epochs(wal_dir)
     # skip everything at or below the newest commit, not just exact
     # members: commits are sequential so the set is a prefix in normal
@@ -615,7 +675,7 @@ def run_job(
         res = apply_epoch(lake, e, epochs[e], cfg, map_refs=refs)
         # last return slot of every map task = its unreadable-file skip
         # count (keep-going policy); surfaced in the summary + exit code
-        files_skipped += sum(ray.get([m[P] for m in refs]))
+        files_skipped += sum(ray.get([m[-1] for m in refs]))
         if res is None:
             skipped_epochs += 1
         else:
@@ -1051,7 +1111,8 @@ def diff_snapshots(
 
 
 def _canonical(state: "pa.Table | None") -> "pa.Table | None":
-    return None if state is None else export_canonical(state)
+    """A fold's canonical snapshot: it is already in key order."""
+    return None if state is None else _live_payload(state)
 
 
 def _part_feed(paths0: list, paths1: list) -> pa.Table:
@@ -1094,7 +1155,7 @@ def _part_feed(paths0: list, paths1: list) -> pa.Table:
         if rest is None or not rest.num_rows:
             return feed
     # side 1's payload columns as the full `to` snapshot has them
-    full = export_canonical(
+    full = _live_payload(
         unify_additive(*[t.schema for t in t1 if t.num_rows]).empty_table())
     return conform(feed, pa.schema(
         [feed.schema.field(c) for c in ("op", *KEY_COLUMNS)]

@@ -35,7 +35,7 @@ import pyarrow.parquet as pq
 
 from .. import STATE_FORMAT_VERSION, VERSION
 from ..schema import DELETED_COL
-from .merge import DIGEST_ALGO, export_canonical, fold_state_tables, table_digest
+from .merge import DIGEST_ALGO, _live_payload, fold_state_tables, table_digest
 
 _COMMIT_RE = re.compile(r"^epoch=(\d+)\.json$")
 _GC_RE = re.compile(r"^gc=(\d+)\.json$")
@@ -257,10 +257,11 @@ def read_composition(paths: list[str]) -> pa.Table | None:
 
 
 def read_canonical(paths: list[str]) -> pa.Table | None:
-    """The canonical snapshot (``export_canonical``: live rows, payload
-    columns, sorted) of one composition; ``None`` when it holds no rows."""
+    """The canonical snapshot (live rows, payload columns, sorted) of one
+    composition; ``None`` when it holds no rows. Every state file and
+    every fold is already in key order with unique keys, so no sort."""
     folded = read_composition(paths)
-    return None if folded is None else export_canonical(folded)
+    return None if folded is None else _live_payload(folded)
 
 
 def stage_partition(

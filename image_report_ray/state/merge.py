@@ -19,10 +19,12 @@ row loops.
 One kernel, :func:`_lww`, resolves last-writer-wins for every caller:
 the epoch merge, :func:`fold_state_tables` (merge-on-read, compaction)
 and through it ``read_composition`` and the change feed's folds. It
-stacks its inputs and sorts them once by key, ``_lsn`` and source; per
-key the last row wins. The merge derives its whole ledger from that one
-sorted table, so every count is exact however the epoch's events were
-grouped into map tasks — the map side only validates and routes.
+stacks its inputs, sorts their key, ``_lsn`` and source projection once
+and takes each key's last row from the stacked table, so the payload
+moves once and lands in key order. The merge derives its whole ledger
+from that one sorted projection, so every count is exact however the
+epoch's events were grouped into map tasks — the map side only
+validates and routes.
 """
 
 from __future__ import annotations
@@ -175,34 +177,37 @@ def changes_to_state_rows(changes: pa.Table) -> pa.Table:
 
 def _lww(
     tables: "list[pa.Table]", schema: pa.Schema | None = None
-) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+) -> tuple[pa.Table, pa.Table, np.ndarray, np.ndarray]:
     """The last-writer-wins kernel under every merge and fold.
 
     Conforms the state-layout ``tables`` to ``schema`` (default: their
-    additive union in list order), stacks them with their list index as
-    ``_src`` and runs one stable sort by key, ``_lsn``, ``_src``. A key's
-    winner is its last sorted row: the greatest ``_lsn``, a tie going to
-    the later table and, within one table, to the later row. Returns the
-    sorted table (``_src`` included), its key-start mask and the winner
-    row indices."""
+    additive union in list order) and stacks them. One stable sort of the
+    key, ``_lsn`` and ``_src`` (list index) projection orders the events;
+    a key's winner is its last sorted row: the greatest ``_lsn``, a tie
+    going to the later table and, within one table, to the later row.
+    Only the winners of the stacked table are taken, in key order.
+    Returns the winners (no ``_src``), the sorted projection, its
+    key-start mask and the positions of the winners in it."""
     target = schema or unify_additive(*[t.schema for t in tables])
     src = np.repeat(
         np.arange(len(tables), dtype=np.int32), [t.num_rows for t in tables]
     )
     stacked = pa.concat_tables([conform(t, target) for t in tables])
-    stacked = stacked.append_column(SRC_COL, pa.array(src))
+    keys = stacked.select([*KEY_COLUMNS, LSN_COL]).append_column(
+        SRC_COL, pa.array(src)
+    )
     idx = pc.sort_indices(
-        stacked,
+        keys,
         sort_keys=[*KEY_ORDER, (LSN_COL, "ascending"), (SRC_COL, "ascending")],
     )
-    t = stacked.take(idx)
-    codes, turns = _key_codes(t)
-    n = t.num_rows
+    keys = keys.take(idx)
+    codes, turns = _key_codes(keys)
+    n = keys.num_rows
     new_key = np.ones(n, dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=new_key[1:])
     np.logical_or(new_key[1:], turns[1:] != turns[:-1], out=new_key[1:])
-    winners = np.flatnonzero(np.append(new_key[1:], True))
-    return t, new_key, winners
+    last = np.flatnonzero(np.append(new_key[1:], True))
+    return stacked.take(idx.take(pa.array(last))), keys, new_key, last
 
 
 def merge_state_with_changes(
@@ -263,20 +268,19 @@ def merge_state_with_changes(
         if incoming.num_rows == 0:
             stats.check()
             return incoming, stats
-        t, new_key, winners = _lww([incoming], incoming.schema)
+        new_state, keys, new_key, last = _lww([incoming], incoming.schema)
     else:
-        t, new_key, winners = _lww(
+        new_state, keys, new_key, last = _lww(
             [incoming, state], unify_additive(state.schema, incoming.schema)
         )
 
-    src = _np(t.column(SRC_COL))
-    lsn = _np(t.column(LSN_COL))
+    src = _np(keys.column(SRC_COL))
+    lsn = _np(keys.column(LSN_COL))
     incoming_dup = (~new_key[1:]) & (lsn[1:] == lsn[:-1]) & (src[1:] == 0)
     stats.dup_skipped = dups + int(incoming_dup.sum())
-    stats.applied = int((src[winners] == 0).sum())
+    stats.applied = int((src[last] == 0).sum())
     stats.stale_skipped = stats.received - stats.dup_skipped - stats.applied
 
-    new_state = t.take(pa.array(winners)).drop_columns([SRC_COL])
     stats.keys_total = new_state.num_rows
     stats.tombstoned = int(_np(new_state.column(DELETED_COL)).sum())
     stats.rows_live = stats.keys_total - stats.tombstoned
@@ -297,8 +301,17 @@ def fold_state_tables(tables: "list[pa.Table | None]") -> pa.Table | None:
         return None
     if len(tables) == 1:
         return tables[0]
-    t, _, winners = _lww(tables)
-    return t.take(pa.array(winners)).drop_columns([SRC_COL])
+    return _lww(tables)[0]
+
+
+def _live_payload(state: pa.Table) -> pa.Table:
+    """Live rows, payload columns only, in ``state``'s own row order.
+    Applied to a fold or a committed state file, whose rows are already
+    unique keys in ``KEY_ORDER``, this is the canonical table without a
+    second sort."""
+    live = state.filter(pc.invert(state.column(DELETED_COL)))
+    keep = [c for c in live.column_names if c not in (LSN_COL, DELETED_COL, SRC_COL, *ACCT_COLS)]
+    return live.select(keep)
 
 
 def export_canonical(state: pa.Table) -> pa.Table:
@@ -306,10 +319,9 @@ def export_canonical(state: pa.Table) -> pa.Table:
     sorted by ``(conv_id, turn_idx)`` — the stable-turn-ordering half of
     the north-rule invariant (deterministic reading order, the graft of
     /root/reference/analysis.py:68-70 and docs/report-schema-v2.md:93-96).
+    Sorts any input; a fold's output needs only :func:`_live_payload`.
     """
-    live = state.filter(pc.invert(state.column(DELETED_COL)))
-    keep = [c for c in live.column_names if c not in (LSN_COL, DELETED_COL, SRC_COL, *ACCT_COLS)]
-    return sort_canonical(live.select(keep))
+    return sort_canonical(_live_payload(state))
 
 
 # ---- version-stable content digest ------------------------------------
