@@ -324,9 +324,10 @@ def cmd_changefeed(args: argparse.Namespace) -> int:
             args.out, f"from={from_epoch:05d}-to={to_epoch:05d}"
         )
     if out_dir:
-        # scale path: each partition's feed is written by a remote task
-        # (sharded, resumable layout) — the whole epoch never gathers
-        # on the driver; only per-shard op counts come back
+        # scale path: each partition's feed (computed by the grouped
+        # feed tasks, one ref per partition) is written as its own shard
+        # by a remote task (sharded, resumable layout) — the whole epoch
+        # never gathers on the driver; only per-shard op counts come back
         os.makedirs(out_dir, exist_ok=True)
         # idempotent re-emit into an existing range dir must REPLACE its
         # shards, not interleave with stale ones (e.g. a format switch)

@@ -1162,14 +1162,26 @@ def _part_feed(paths0: list, paths1: list) -> pa.Table:
         + [f for f in full.schema if f.name not in KEY_COLUMNS]))
 
 
+def _feed_group(pairs: list):
+    """The one feed task: one per group. Runs :func:`_part_feed` for each
+    of the group's ``(paths0, paths1)`` pairs in turn; one return value
+    per partition (``num_returns=len(pairs)``, so a bare table for one)."""
+    feeds = tuple(_part_feed(p0, p1) for p0, p1 in pairs)
+    return feeds if len(feeds) > 1 else feeds[0]
+
+
 def changefeed_range_refs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
-    """Per-partition change-feed refs for the NET effect of epochs
-    ``(from_epoch, to_epoch]`` — the diff of the two time-travel
-    snapshots (the Delta `table_changes(from, to)` analogue), computed
-    by one :func:`_part_feed` task per partition: when the range only
+    """Per-partition change-feed refs, in pid order, for the NET effect of
+    epochs ``(from_epoch, to_epoch]`` — the diff of the two time-travel
+    snapshots (the Delta `table_changes(from, to)` analogue). Each
+    partition's feed is one :func:`_part_feed`: when the range only
     appended delta files to a partition's composition, it folds just the
     conversations those files touch; otherwise it folds both
-    compositions in full. A consumer
+    compositions in full. The partitions run grouped like the epoch
+    exchange: ``G = min(n, cluster CPUs)`` tasks for the ``n``
+    partitions, partition ``i`` of the sorted pids in group ``i % G``,
+    each task returning one object per partition — Ray's cost per task
+    exceeds a small partition's fold and diff. A consumer
     that catches up after missing several epochs reads ONE compacted
     feed instead of replaying each epoch's feed; intermediate churn
     (insert-then-delete, update-then-revert) nets out by construction.
@@ -1178,8 +1190,6 @@ def changefeed_range_refs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
     forward each partition's feed without ever gathering the whole range
     on the driver; :func:`changefeed_range` / :func:`changefeed` are the
     small-result convenience wrappers that do gather."""
-    import ray  # noqa: F401  (refs are ray ObjectRefs)
-
     if not lake.is_committed(to_epoch):
         raise ValueError(f"epoch {to_epoch} is not committed")
     if from_epoch >= to_epoch:
@@ -1191,11 +1201,18 @@ def changefeed_range_refs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
     )
     sets0 = lake.current_file_sets(as_of=from_epoch) if has_base else {}
     sets1 = lake.current_file_sets(as_of=to_epoch)
-    feed = _remote(_part_feed)
-    return [
-        feed.remote(sets0.get(pid, []), sets1.get(pid, []))
-        for pid in sorted(set(sets0) | set(sets1))
-    ]
+    pairs = [(sets0.get(pid, []), sets1.get(pid, []))
+             for pid in sorted(set(sets0) | set(sets1))]
+    if not pairs:
+        return []
+    G = _group_count(len(pairs))
+    feed = _remote(_feed_group)
+    groups = []
+    for g in range(G):
+        group = pairs[g::G]
+        refs = feed.options(num_returns=len(group)).remote(group)
+        groups.append(refs if isinstance(refs, list) else [refs])
+    return [groups[i % G][i // G] for i in range(len(pairs))]
 
 
 def changefeed_refs(lake: Lake, epoch: int) -> list:
@@ -1231,9 +1248,9 @@ def changefeed(lake: Lake, epoch: int) -> pa.Table:
     data files are immutable. Per key: ``I`` = appeared, ``D`` =
     disappeared, ``U`` = any payload column changed; an update that
     rewrote identical values does not feed (net-effect semantics, same
-    rule as the compacted exchange). One task per partition (pid routing
-    is stable across epochs), Arrow diff kernel
-    (:func:`diff_snapshots`); sorted (conv_id, turn_idx) output.
+    rule as the compacted exchange). One feed per partition (pid routing
+    is stable across epochs), run in one task per CPU slot, Arrow diff
+    kernel (:func:`diff_snapshots`); sorted (conv_id, turn_idx) output.
     This is the gather-to-driver convenience form — scale consumers use
     :func:`changefeed_refs` and handle each partition's feed in place.
     Catching up over several epochs at once: :func:`changefeed_range`."""

@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .. import STATE_FORMAT_VERSION, VERSION
-from ..schema import DELETED_COL
+from ..schema import DELETED_COL, LSN_COL
 from .merge import DIGEST_ALGO, _live_payload, fold_state_tables, table_digest
 
 _COMMIT_RE = re.compile(r"^epoch=(\d+)\.json$")
@@ -44,6 +44,23 @@ _GC_RE = re.compile(r"^gc=(\d+)\.json$")
 # determinism; the v2 doc's byte-identical re-run requirement,
 # /root/reference/docs/report-schema-v2.md:93-96).
 PARQUET_OPTS = dict(compression="zstd", data_page_version="1.0")
+
+# The layout of every state and view file, fitted to the transcript
+# schema: a dictionary only on the enumerated strings (`text`, `ts` and
+# `_lsn` are nearly unique per row, so a dictionary page repeats the
+# data; `conv_id` is sorted within a file, so zstd over plain values
+# beats one), delta-packed integers, and statistics only on `_lsn`, the
+# one column an lsn-ordered lake could skip on (no reader uses the
+# rest). Columns added by schema evolution get plain values + zstd.
+# Readers need nothing: Parquet is self-describing, so files of the
+# plain PARQUET_OPTS layout read and fold together with these, and
+# `table_digest` hashes values, not bytes.
+STATE_PARQUET_OPTS = dict(
+    PARQUET_OPTS,
+    use_dictionary=["role", "tool"],
+    write_statistics=[LSN_COL],
+    column_encoding={c: "DELTA_BINARY_PACKED" for c in ("turn_idx", "ts", LSN_COL)},
+)
 
 
 class Lake:
@@ -243,10 +260,11 @@ class Lake:
     # ---- state IO ----------------------------------------------------
     @staticmethod
     def write_state_file(table: pa.Table, path: str) -> None:
-        """Deterministic, atomic state-file write (tmp + rename)."""
+        """Deterministic, atomic state-file write (tmp + rename) in the
+        one state layout, ``STATE_PARQUET_OPTS``."""
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + ".inprogress"
-        pq.write_table(table, tmp, **PARQUET_OPTS)
+        pq.write_table(table, tmp, **STATE_PARQUET_OPTS)
         os.replace(tmp, path)
 
 

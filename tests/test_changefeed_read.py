@@ -493,3 +493,78 @@ def test_late_event_below_previous_high_water_still_feeds(
     assert feed_dict(feed) == want
     assert want[("conv-k", 0)][0] == "U"
     assert want[("conv-k", 0)][1]["text"] == "late"
+
+
+def _spy_feed_tasks(monkeypatch) -> list:
+    """Record the ``num_returns`` of every grouped feed task submitted."""
+    submitted = []
+    real = cdc._remote
+
+    class Spy:
+        def __init__(self, task):
+            self.task = task
+
+        def options(self, **kw):
+            submitted.append(kw["num_returns"])
+            return self.task.options(**kw)
+
+    monkeypatch.setattr(cdc, "_remote", lambda fn: Spy(real(fn))
+                        if fn is cdc._feed_group else real(fn))
+    return submitted
+
+
+@pytest.mark.parametrize("P,tasks", [(16, [4, 4, 4, 4]), (5, [2, 1, 1, 1]),
+                                     (1, [1])])
+def test_grouped_feed_returns_one_ref_per_partition(
+        ray_session, tmp_path, monkeypatch, P, tasks):
+    """In the 4-CPU session the range feed runs min(P, 4) tasks, pid i in
+    group i % G, and still returns one ref per partition in pid order,
+    each equal to that partition's ``_part_feed`` run in-process; a
+    group of one partition (num_returns=1) returns a bare ref that is
+    wrapped. Covers a full-fold range (-1, 1) and a delta range (0, 1)."""
+    import ray
+
+    wal = str(tmp_path / "wal")
+    paths = write_wal(wal, n_epochs=2, epoch_size=600, seed=4, n_convs=200,
+                      max_turns=6)
+    lake = Lake(str(tmp_path / "lake"), num_partitions=P)
+    cfg = EngineConfig(num_partitions=P, merge_mode="mor", compact_every=4)
+    for e, p in enumerate(paths):
+        apply_epoch(lake, e, [p], cfg)
+    submitted = _spy_feed_tasks(monkeypatch)
+    for f in (-1, 0):
+        submitted.clear()
+        refs = cdc.changefeed_range_refs(lake, f, 1)
+        assert submitted == tasks
+        assert len(refs) == P
+        assert all(isinstance(r, ray.ObjectRef) for r in refs)
+        sets0 = lake.current_file_sets(as_of=f) if f >= 0 else {}
+        sets1 = lake.current_file_sets(as_of=1)
+        assert sorted(sets1) == list(range(P))
+        for pid, t in enumerate(ray.get(refs)):
+            assert t.equals(cdc._part_feed(sets0.get(pid, []), sets1[pid])), (f, pid)
+
+
+def test_cli_changefeed_out_writes_one_shard_per_partition(
+        ray_session, tmp_path, capsys):
+    """``cli changefeed --out`` still writes one shard per partition of
+    the range, with the grouped feed's rows."""
+    import glob as _glob
+    import json as _json
+
+    from image_report_ray.cli import main
+
+    wal = str(tmp_path / "wal")
+    write_wal(wal, n_epochs=2, epoch_size=400, seed=8, n_convs=30,
+              max_turns=6)
+    lake = str(tmp_path / "lake")
+    assert main(["run", lake, wal, "--partitions", "6"]) == 0
+    capsys.readouterr()
+    assert main(["changefeed", lake, "--epoch", "1", "--out",
+                 str(tmp_path / "out")]) == 0
+    rec = _json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    shards = sorted(_glob.glob(str(tmp_path / "out" / "*" / "part-*.parquet")))
+    assert len(shards) == 6
+    got = pa.concat_tables([pq.read_table(s) for s in shards])
+    assert got.num_rows == rec["rows"] > 0
+    assert feed_dict(got) == feed_dict(changefeed(Lake(lake), 1))
