@@ -158,7 +158,7 @@ def cmd_export(args: argparse.Namespace) -> int:
                 {"error": f"no committed view {args.view!r} in this lake"}
             ))
             return 1
-        tabs = [pq.read_table(p) for _, p in sorted(files.items())]
+        tabs = [pq.ParquetFile(p).read() for _, p in sorted(files.items())]
         nonempty = [x for x in tabs if x.num_rows]
         # every partition's view can legitimately be empty (e.g. computed
         # over fully-tombstoned state) — export an empty view, don't crash
@@ -567,7 +567,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     checked = 0
     entries = lake.current_entries()
     for pid, entry in sorted(entries.items()):
-        t = pq.read_table(os.path.join(lake.root, entry["file"]))
+        t = pq.ParquetFile(os.path.join(lake.root, entry["file"])).read()
         live = int(pc.sum(pc.cast(pc.invert(t.column("_deleted")), "int64")).as_py() or 0)
         if live != entry["rows_live"]:
             problems.append(f"pid {pid}: rows_live {live} != manifest {entry['rows_live']}")
@@ -605,7 +605,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 [os.path.join(lake.root, r) for r in files]
             )
             expect = sort_view(vname, VIEW_REGISTRY[vname](folded))
-            got = pq.read_table(os.path.join(lake.root, vrel))
+            got = pq.ParquetFile(os.path.join(lake.root, vrel)).read()
             if not expect.equals(sort_view(vname, got)):
                 problems.append(
                     f"pid {pid}: view {vname!r} != recompute from state"

@@ -6,6 +6,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
+def arrow_refs(ds) -> list:
+    """The Dataset's blocks as Arrow table refs from ONE execution: on a
+    lazy plan ``to_arrow_refs()`` re-runs it under ``limit(1)`` for the
+    schema, and that run's task cancels can abort this process (Ray 2.49)."""
+    return ds.materialize().to_arrow_refs()
+
+
 def ds_to_table(ds) -> pa.Table:
     """Materialize a small result Dataset to one Arrow table.
 
@@ -13,7 +20,7 @@ def ds_to_table(ds) -> pa.Table:
     """
     import ray
 
-    refs = ds.to_arrow_refs()
+    refs = arrow_refs(ds)
     tables = [t for t in ray.get(refs) if t.num_rows > 0]
     if not tables:
         empty = ray.get(refs[0]) if refs else pa.table({})

@@ -22,21 +22,23 @@ streaming executor that barrier turns the sort-based ``groupby`` shuffle
 into a serial choke point (the executor also reserves CPU slots per
 operator, so a 4-operator pipeline at small CPU counts runs each phase
 ~2-wide; measured: 2->8 CPUs gave only 1.26x).  The two-stage object-store
-exchange here is the textbook map/reduce shuffle — map tasks return one
+exchange here is the textbook map/reduce shuffle — split tasks return one
 object per merge group (``num_returns=G+1``), merge task g consumes
 column g of the ref matrix.  Its per-partition form measured 2.9x
 from 2->8 CPUs on the same input.  At small epochs a Ray shuffle's cost
 follows its object and task counts more than its bytes: with one object
 and one task per partition, that cost exceeded the merge work at the
 benchmark's epoch sizes.  One per CPU slot keeps the exchange as wide
-as the cluster and no wider.  Partition is still the unit of state: each one
-is merged, written, digested and reported on its own, so files and
-commits do not depend on G.  The grouping is static (``pid % G``), so
-per-partition tasks no longer balance load dynamically: a group holding
-a hot partition finishes last, and salting a hot conversation
-(``salt_keys``) stays the remedy for that skew.  Dataset remains
-the API for sources and stateless stages; a changelog Dataset is
-accepted directly (its blocks feed the same split tasks).
+as the cluster and no wider.  Every per-partition stage (merge, feed,
+GC/expiry, export, migrations, cdcq state queries) fans out the same way
+through :func:`per_partition`, whose exchange mode consumes a
+:func:`split_stage`.  Partition is still the unit of state: each one is
+merged, written, digested and reported on its own, so files and commits
+do not depend on G.  The grouping is static (``i % G``), so a group
+holding a hot partition finishes last, and salting a hot conversation
+(``salt_keys``) stays the remedy for that skew.  Dataset remains the API
+for sources and stateless stages; a changelog Dataset is accepted
+directly (its blocks feed the same split tasks).
 
 Scale notes (100 TB design): the exchange moves every valid event once,
 uncombined, and the merge's one sort does all LWW work. A map-side
@@ -92,6 +94,7 @@ from ..state.merge import (
     sort_canonical,
 )
 from ..xmlreport import build_partition_report, write_report
+from ._util import arrow_refs
 
 _EPOCH_DIR_RE = re.compile(r"^epoch=(\d+)$")
 
@@ -261,7 +264,7 @@ def read_wal_file(path: str) -> pa.Table:
     (ints narrowed, ISO timestamps parsed); columns beyond the schema
     (additive evolution) pass through untouched."""
     if not path.endswith((".jsonl", ".json")):
-        return pq.read_table(path)
+        return pq.ParquetFile(path).read()
     from pyarrow import json as pa_json
 
     from ..schema import CHANGE_SCHEMA
@@ -294,22 +297,101 @@ def _remote(fn):
     return _REMOTES[fn]
 
 
+def _group_count(n: int) -> int:
+    """G, the fan-out's group count: one task per CPU slot of the
+    cluster, never more than one per partition."""
+    import ray
+
+    ray.get_runtime_context()  # starts Ray if needed, as a first .remote() would
+    return max(1, min(n, int(ray.cluster_resources().get("CPU", 1))))
+
+
 def _group_slices(slices: tuple, G: int) -> tuple:
     """The exchange's grouping: ``G`` tuples of partition slices, group
     ``g`` holding pids ``g, g + G, g + 2G, ...`` in pid order."""
     return tuple(slices[g::G] for g in range(G))
 
 
-def _map_files(files: list[str], P: int, G: int, salt_keys, salt_factor,
-               cont: bool):
+def _each(fn, jobs, shared, *objs):
+    """The one group task: yields ``fn(*job, *shared)`` for each of its
+    jobs in turn, one return value per job (``num_returns=len(jobs)``, so
+    each result is stored as soon as it is yielded). In exchange mode
+    ``objs`` are the group's object from each split task, holding the
+    group's slices in job order, and job ``k`` also gets
+    ``[o[k] for o in objs]`` as its last argument."""
+    for k, job in enumerate(jobs):
+        if objs:
+            yield fn(*job, *shared, [o[k] for o in objs])
+        else:
+            yield fn(*job, *shared)
+
+
+def per_partition(fn, jobs: list, *shared, exchange: list | None = None) -> list:
+    """THE partition fan-out under every per-partition Ray stage: runs
+    ``fn(*job, *shared)`` for each job (one partition's arguments) in
+    ``G = min(len(jobs), cluster CPUs)`` :func:`_each` tasks, job ``i``
+    in group ``i % G`` (Ray's cost per task and object exceeds a small
+    partition's work), and returns one ref per job, in job order. Ray
+    resolves only top-level task arguments: jobs hold no ``ObjectRef``.
+
+    ``exchange`` is the ref lists of a :func:`split_stage` (``G + 1``
+    refs per split task: G groups of slices and a count). Job ``i`` is
+    then partition ``i``, G is read back from the refs, and each job
+    also gets its slices from every split task, in task order, as its
+    last argument; no split task means no work."""
+    if not jobs or exchange is not None and not exchange:
+        return []  # no partition, or no split task: no work
+    if exchange is None:
+        G = _group_count(len(jobs))
+        objs = [()] * G
+    else:
+        G = len(exchange[0]) - 1
+        objs = [[m[g] for m in exchange] for g in range(G)]
+    task = _remote(_each)
+    groups = []
+    for g in range(G):
+        refs = task.options(num_returns=len(jobs[g::G])).remote(
+            fn, jobs[g::G], shared, *objs[g])
+        groups.append(refs if isinstance(refs, list) else [refs])  # one job: a bare ref
+    return [groups[i % G][i // G] for i in range(len(jobs))]
+
+
+def map_partitions(lake: Lake, fn, *shared, as_of: int | None = None) -> list:
+    """:func:`per_partition` over the lake's committed partitions:
+    ``fn(paths, *shared)`` per partition's composition (base first, then
+    deltas; the ``as_of`` snapshot if given), refs in pid order."""
+    sets = lake.current_file_sets(as_of)
+    return per_partition(fn, [(paths,) for _, paths in sorted(sets.items())],
+                         *shared)
+
+
+def _split(fn, block, P: int, G: int, *args) -> tuple:
+    """The one split task: ``fn(block, P, *args)`` returns the block's P
+    partition slices and a count; they leave grouped ``G`` ways, plus
+    the count in the last slot."""
+    slices, count = fn(block, P, *args)
+    return _group_slices(slices, G) + (count,)
+
+
+def split_stage(fn, blocks, P: int, *args) -> list:
+    """The split side of an exchange: one :func:`_split` task per input
+    block, each returning G + 1 refs for :func:`per_partition`'s
+    exchange mode, ``G = min(P, cluster CPUs)``. ``num_returns=G+1`` is
+    always >= 2, so Ray returns a real list even when G is 1."""
+    G = _group_count(P)
+    task = _remote(_split).options(num_returns=G + 1)
+    return [task.remote(fn, b, P, G, *args) for b in blocks]
+
+
+def _map_files(files: list[str], P: int, salt_keys, salt_factor, cont: bool):
     # Malformed-file policy mirrors the reference's unreadable-image
     # handling (reference ir:384-388 None-check + counted
     # failure): keep-going skips and logs the bad file; fail-fast
     # propagates and the epoch never commits. OSError covers files
     # that vanished or are unreadable at the filesystem level —
     # the skip policy is about *unreadable inputs*, not just
-    # malformed Parquet. The final return slot carries the skip
-    # count so the run summary (and exit code) can report it
+    # malformed Parquet. The skip count rides in the split task's last
+    # return slot so the run summary (and exit code) can report it
     # honestly (reference ir:606-619 failed-count policy).
     tables = []
     skipped = 0
@@ -324,24 +406,22 @@ def _map_files(files: list[str], P: int, G: int, salt_keys, salt_factor,
                 "skipping unreadable WAL file %s: %s", f, exc
             )
     if not tables:
-        return _group_slices((pa.table({}),) * P, G) + (skipped,)
+        return (pa.table({}),) * P, skipped
     slices = prepare_and_split(
         concat_evolving(tables), P, salt_keys, salt_factor,
         continue_on_error=cont,
     )
-    return _group_slices(slices, G) + (skipped,)
+    return slices, skipped
 
 
-def _map_block(block: pa.Table, P: int, G: int, salt_keys, salt_factor,
-               cont: bool):
-    slices = prepare_and_split(
+def _map_block(block: pa.Table, P: int, salt_keys, salt_factor, cont: bool):
+    return prepare_and_split(
         block, P, salt_keys, salt_factor, continue_on_error=cont
-    )
-    return _group_slices(slices, G) + (0,)
+    ), 0
 
 
-def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, parts,
-                lake_root, epoch, mnames):
+def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, lake_root,
+                epoch, mnames, parts):
     """Merge one partition's slices, in map-task order; ``None`` when the
     epoch has no events for it (its committed entry stands, and its prior
     state is not read). With ``prior_paths`` it is a compaction: fold the
@@ -363,7 +443,7 @@ def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, parts,
     prior_views: dict[str, pa.Table] = {}
     for vname, rel in view_rels.items():
         try:
-            prior_views[vname] = pq.read_table(os.path.join(lake_root, rel))
+            prior_views[vname] = pq.ParquetFile(os.path.join(lake_root, rel)).read()
         except (pa.ArrowInvalid, OSError):
             pass  # missing/corrupt previous view -> full recompute
     affected_extra = None
@@ -371,7 +451,7 @@ def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, parts,
         affected_extra = np.unique(
             np.concatenate(
                 [
-                    pq.read_table(p, columns=["conv_id"])
+                    pq.ParquetFile(p).read(columns=["conv_id"])
                     .column("conv_id").to_numpy(zero_copy_only=False)
                     for p in prior_paths[1:]
                 ]
@@ -382,19 +462,6 @@ def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, parts,
         metric_names=mnames, view_names=vnames,
         prior_views=prior_views, affected_extra=affected_extra,
     )
-
-
-def _merge_group(lake_root, epoch, mnames, jobs, *objs):
-    """The one merge task: one per exchange group. ``jobs`` are the
-    group's partitions in pid order, ``objs`` the group's object from
-    each map task, holding their slices in the same order. Runs
-    :func:`_merge_part` for each partition in turn; returns their rows."""
-    rows = []
-    for k, job in enumerate(jobs):
-        row = _merge_part(*job, [o[k] for o in objs], lake_root, epoch, mnames)
-        if row is not None:
-            rows.append(row)
-    return rows
 
 
 def _group_files(files: list[str], target_rows: int) -> list[list[str]]:
@@ -418,23 +485,14 @@ def _group_files(files: list[str], target_rows: int) -> list[list[str]]:
     return groups
 
 
-def _group_count(P: int) -> int:
-    """G, the exchange's group count: one merge task per CPU slot of the
-    cluster, never more than one per partition."""
-    import ray
-
-    ray.get_runtime_context()  # starts Ray if needed, as a first .remote() would
-    return max(1, min(P, int(ray.cluster_resources().get("CPU", 1))))
-
-
 def submit_map_stage(
     lake: Lake, wal: "str | list[str] | object", cfg: EngineConfig
 ) -> list:
-    """Launch the epoch's map tasks; returns the list of per-task ref
-    tuples. Each has G+1 object refs, ``G = min(P, cluster CPUs)``: one
-    per merge group (the slices of pids ``g, g + G, ...``), plus the
-    task's skipped-file count in the last slot. ``num_returns`` is
-    always >= 2, so Ray returns a real list even when G is 1.
+    """Launch the epoch's map tasks (a :func:`split_stage`); returns the
+    list of per-task ref tuples. Each has G+1 object refs,
+    ``G = min(P, cluster CPUs)``: one per merge group (the slices of
+    pids ``g, g + G, ...``), plus the task's skipped-file count in the
+    last slot.
 
     ``wal`` is a file, a list of files or a ``ray.data.Dataset`` whose
     blocks each feed one map task. Read a WAL directory into a Dataset
@@ -442,17 +500,14 @@ def submit_map_stage(
     adds an ``epoch`` string column from the ``epoch=K/`` directory
     names, which validation passes as additive evolution into every
     state row."""
-    P = lake.num_partitions
-    G = _group_count(P)
-    args = (P, G, lake.salt_keys, lake.salt_factor, cfg.continue_on_error)
+    args = (lake.salt_keys, lake.salt_factor, cfg.continue_on_error)
     if isinstance(wal, str):
         wal = [wal]
     if isinstance(wal, list):
-        task = _remote(_map_files).options(num_returns=G + 1)
-        return [task.remote(g, *args) for g in _group_files(wal, cfg.map_task_rows)]
+        blocks = _group_files(wal, cfg.map_task_rows)
+        return split_stage(_map_files, blocks, lake.num_partitions, *args)
     # a ray.data.Dataset: execute its (lazy) plan; blocks feed split tasks.
-    task = _remote(_map_block).options(num_returns=G + 1)
-    return [task.remote(r, *args) for r in wal.to_arrow_refs()]
+    return split_stage(_map_block, arrow_refs(wal), lake.num_partitions, *args)
 
 
 def apply_epoch(
@@ -470,7 +525,8 @@ def apply_epoch(
     pipelining); correctness is unaffected because map tasks don't touch
     state — only merges read the prior commit. The group count G is
     read back from the map refs, so merges always match the map tasks
-    that fed them; one :func:`_merge_group` task runs per group."""
+    that fed them; the merges are :func:`per_partition`'s exchange mode,
+    one :func:`_merge_part` per partition, one task per group."""
     import ray
 
     cfg = cfg or EngineConfig(num_partitions=lake.num_partitions)
@@ -478,7 +534,6 @@ def apply_epoch(
         return None
 
     mats = map_refs if map_refs is not None else submit_map_stage(lake, wal, cfg)
-    G = len(mats[0]) - 1 if mats else 0  # no map task: nothing to merge
 
     from ..functions.metrics import select_metrics
 
@@ -526,12 +581,9 @@ def apply_epoch(
         else:  # a delta: no prior read, no views
             prior, views, view_rels = [], (), {}
         jobs.append((pid, prior, lsns.get(pid, -1), views, view_rels))
-    merge = _remote(_merge_group)
-    groups = ray.get([
-        merge.remote(lake.root, epoch, mnames, jobs[g::G], *[m[g] for m in mats])
-        for g in range(G)
-    ])
-    rows = sorted((r for g in groups for r in g), key=lambda r: r["pid"])
+    refs = per_partition(_merge_part, jobs, lake.root, epoch, mnames,
+                         exchange=mats)
+    rows = [r for r in ray.get(refs) if r is not None]
 
     entries: dict[int, dict] = {}
     out_stats: dict[int, MergeStats] = {}
@@ -724,7 +776,7 @@ def _expired_turns(t: pa.Table, cutoff_us: int) -> pa.ChunkedArray:
     )
 
 
-def _rewrite_part(pid, paths, lake_root, seq, drop, arg, old_entry):
+def _rewrite_part(pid, paths, old_entry, lake_root, seq, drop, arg):
     """The one maintenance task: fold the partition's composition (a
     rewrite implies compaction), drop the rows ``drop(t, arg)`` marks and
     stage the rest as ``gc=seq``. Returns (commit entry, rows dropped)."""
@@ -738,15 +790,15 @@ def _rewrite_part(pid, paths, lake_root, seq, drop, arg, old_entry):
 def _maintenance_rewrite(
     lake: Lake, drop, arg, *, commit_noop: bool
 ) -> tuple[int | None, int, int]:
-    """Rewrite every partition's current state, one ``_rewrite_part``
-    task per partition, and publish the result as a ``gc=N`` commit
-    record. It folds after the epochs it compacted and before any later
-    WAL epoch (see ``Lake.current_entries``); a crash before the record
-    lands leaves only invisible staging files. A rewrite that dropped
-    nothing publishes only if ``commit_noop``. Returns ``(gc_seq,
-    partitions, rows dropped)``, ``gc_seq`` None when nothing was
-    committed. The rewritten entries carry no views (recomputed at the
-    next compaction, never served stale)."""
+    """Rewrite every partition's current state, one ``_rewrite_part`` per
+    partition (:func:`per_partition`), and publish the result as a
+    ``gc=N`` commit record. It folds after the epochs it compacted and
+    before any later WAL epoch (see ``Lake.current_entries``); a crash
+    before the record lands leaves only invisible staging files. A
+    rewrite that dropped nothing publishes only if ``commit_noop``.
+    Returns ``(gc_seq, partitions, rows dropped)``, ``gc_seq`` None when
+    nothing was committed. The rewritten entries carry no views
+    (recomputed at the next compaction, never served stale)."""
     import ray
 
     current = lake.current_entries()
@@ -755,17 +807,14 @@ def _maintenance_rewrite(
     after_epoch = max(e["epoch"] for e in current.values())
     seqs = lake.gc_seqs()
     seq = seqs[-1] + 1 if seqs else 0
-    rewrite = _remote(_rewrite_part)
     pids = sorted(current)
-    results = ray.get([
-        rewrite.remote(
-            pid,
-            [os.path.join(lake.root, r)
-             for r in (current[pid].get("files") or [current[pid]["file"]])],
-            lake.root, seq, drop, arg, current[pid],
-        )
+    jobs = [
+        (pid, [os.path.join(lake.root, r)
+               for r in (current[pid].get("files") or [current[pid]["file"]])],
+         current[pid])
         for pid in pids
-    ])
+    ]
+    results = ray.get(per_partition(_rewrite_part, jobs, lake.root, seq, drop, arg))
     dropped = sum(n for _, n in results)
     if not dropped and not commit_noop:
         # the staged files of this no-op stay invisible, same as any
@@ -842,18 +891,16 @@ def _canonical_block(paths: list[str]) -> pa.Table:
 def canonical_state_dataset(lake: Lake, as_of: int | None = None):
     """Streaming canonical view: live rows, payload columns only.
 
-    One fold task per partition (base + deltas LWW-folded there); the
-    refs become Dataset blocks. No global sort — ordering is
-    per-conversation within a partition (O3's stable reading-order
-    contract). ``as_of`` reads the manifest's epoch snapshot (time
-    travel) instead of the head."""
+    One fold per partition (base + deltas LWW-folded there,
+    :func:`map_partitions`); the refs become Dataset blocks. No global
+    sort — ordering is per-conversation within a partition (O3's stable
+    reading-order contract). ``as_of`` reads the manifest's epoch
+    snapshot (time travel) instead of the head."""
     import ray.data as rd
 
-    sets = lake.current_file_sets(as_of)
-    if not sets:
+    refs = map_partitions(lake, _canonical_block, as_of=as_of)
+    if not refs:
         raise ValueError("lake has no committed state")
-    fold = _remote(_canonical_block)
-    refs = [fold.remote(paths) for _, paths in sorted(sets.items())]
     return rd.from_arrow_refs(refs)
 
 
@@ -874,25 +921,19 @@ def canonical_state_table(lake: Lake, as_of: int | None = None) -> pa.Table:
 # ---- state migrations: reshard and bootstrap -------------------------
 
 
-def _task_slices(slices: tuple, P: int):
-    """A split task's return value: under ``num_returns=1`` Ray stores
-    the whole return value as the one object, so one partition returns
-    its bare slice."""
-    return slices[0] if P == 1 else slices
-
-
 def _split_state(paths: list, P: int):
-    """Reshard source task: fold one partition's composition and route
-    it into ``P`` slices."""
+    """Reshard split: fold one source partition's composition and route
+    it into ``P`` slices; counts its rows."""
     folded = read_composition(paths)
     if folded is None:
-        return _task_slices(tuple(pa.table({}) for _ in range(P)), P)
-    return _task_slices(_split_by_pid(folded, P), P)
+        return (pa.table({}),) * P, 0
+    return _split_by_pid(folded, P), folded.num_rows
 
 
 def _split_boot(block: pa.Table, P: int):
-    """Bootstrap source task: reject null keys, give every row ``_lsn =
-    -1`` and no tombstone, and route the block into ``P`` slices."""
+    """Bootstrap split: reject null keys, give every row ``_lsn = -1``
+    and no tombstone, and route the block into ``P`` slices; counts its
+    rows."""
     for key_col in ("conv_id", "turn_idx"):
         col = block.column(key_col)
         if col.null_count:
@@ -905,11 +946,11 @@ def _split_boot(block: pa.Table, P: int):
     ).append_column(
         DELETED_COL, pa.array(np.zeros(block.num_rows, bool))
     )
-    return _task_slices(_split_by_pid(t, P), P)
+    return _split_by_pid(t, P), block.num_rows
 
 
 def _write_migrated(pid: int, root: str, epoch: int, last_lsn: int,
-                    unique_keys: bool, *slices):
+                    unique_keys: bool, slices: list):
     """The one migration writer: concat a destination partition's slices
     in source order, sort canonically, stage it and return ``(commit
     entry, seconds)``; ``None`` for an empty partition (absent from the
@@ -937,23 +978,19 @@ def _write_migrated(pid: int, root: str, epoch: int, last_lsn: int,
     return entry, time.perf_counter() - t0
 
 
-def _migrate(dst: Lake, epoch: int, cols: list, last_lsn: int,
+def _migrate(dst: Lake, epoch: int, splits: list, last_lsn: int,
              unique_keys: bool, params: dict) -> int:
     """Shared tail of the state migrations: one :func:`_write_migrated`
-    task per destination partition consumes its column of the source
-    tasks' slices; then write each partition's lineage report and
-    publish the commit. Returns total keys written."""
+    per destination partition consumes its slices of the split tasks
+    (:func:`per_partition`'s exchange mode); then write each partition's
+    lineage report and publish the commit. Returns total keys written."""
     import ray
 
-    P = dst.num_partitions
-    if P == 1:  # num_returns=1 yields a bare ref
-        cols = [[c] for c in cols]
-    write = _remote(_write_migrated)
-    results = ray.get([
-        write.remote(pid, dst.root, epoch, last_lsn, unique_keys,
-                     *[col[pid] for col in cols])
-        for pid in range(P)
-    ])
+    jobs = [(pid,) for pid in range(dst.num_partitions)]
+    results = ray.get(per_partition(
+        _write_migrated, jobs, dst.root, epoch, last_lsn, unique_keys,
+        exchange=splits,
+    ))
     entries: dict[int, dict] = {}
     for pid, res in enumerate(results):
         if res is None:
@@ -977,12 +1014,13 @@ def reshard_lake(src: Lake, dst_root: str, new_partitions: int) -> dict:
     enforces it), so growing a deployment is a state MIGRATION — this is
     that migration, expressed as the engine's own exchange shape.
 
-    One remote task per SOURCE partition folds its state chain and
+    One split task per SOURCE partition folds its state chain and
     splits it into ``new_partitions`` slices under the same crc32
-    routing (``num_returns`` object-store exchange); one task per DEST
-    partition concats its column of slices in src-pid order, re-sorts to
-    the canonical (conv_id, turn_idx) state order, writes its state file
-    and computes its commit entry. Per-row lsns and tombstones migrate
+    routing (:func:`split_stage`, the epoch exchange's object-store
+    shape); one writer per DEST partition (grouped, :func:`per_partition`)
+    concats its slices in src-pid order, re-sorts to the canonical
+    (conv_id, turn_idx) state order, writes its state file and computes
+    its commit entry. Per-row lsns and tombstones migrate
     untouched and every dest checkpoint carries the GLOBAL max
     ``last_lsn``, so LWW, staleness and exactly-once semantics hold for
     anything delivered after the cutover. The migration commits at the
@@ -994,13 +1032,13 @@ def reshard_lake(src: Lake, dst_root: str, new_partitions: int) -> dict:
     global_lsn = max(int(e["last_lsn"]) for e in src_entries.values())
     epoch = max(src.committed_epochs())
     dst = Lake(dst_root, num_partitions=new_partitions)
-    split = _remote(_split_state).options(num_returns=new_partitions)
-    cols = [
-        split.remote(paths, new_partitions)
-        for _, paths in sorted(src.current_file_sets().items())
-    ]
+    splits = split_stage(
+        _split_state,
+        [paths for _, paths in sorted(src.current_file_sets().items())],
+        new_partitions,
+    )
     moved = _migrate(
-        dst, epoch, cols, global_lsn, False,
+        dst, epoch, splits, global_lsn, False,
         {"num_partitions": new_partitions,
          "resharded_from": src.num_partitions},
     )
@@ -1031,13 +1069,11 @@ def bootstrap_lake(
     lake = Lake(lake_root, num_partitions=num_partitions)
     if lake.committed_epochs():
         raise ValueError("bootstrap target lake already has commits")
-    split = _remote(_split_boot).options(num_returns=num_partitions)
-    cols = [
-        split.remote(b, num_partitions)
-        for b in rd.read_parquet(src_parquet).to_arrow_refs()
-    ]
+    splits = split_stage(
+        _split_boot, rd.read_parquet(src_parquet).to_arrow_refs(), num_partitions
+    )
     loaded = _migrate(
-        lake, epoch, cols, -1, True,
+        lake, epoch, splits, -1, True,
         {"num_partitions": num_partitions, "bootstrap": True},
     )
     return {"epoch": int(epoch), "rows_loaded": int(loaded)}
@@ -1162,14 +1198,6 @@ def _part_feed(paths0: list, paths1: list) -> pa.Table:
         + [f for f in full.schema if f.name not in KEY_COLUMNS]))
 
 
-def _feed_group(pairs: list):
-    """The one feed task: one per group. Runs :func:`_part_feed` for each
-    of the group's ``(paths0, paths1)`` pairs in turn; one return value
-    per partition (``num_returns=len(pairs)``, so a bare table for one)."""
-    feeds = tuple(_part_feed(p0, p1) for p0, p1 in pairs)
-    return feeds if len(feeds) > 1 else feeds[0]
-
-
 def changefeed_range_refs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
     """Per-partition change-feed refs, in pid order, for the NET effect of
     epochs ``(from_epoch, to_epoch]`` — the diff of the two time-travel
@@ -1177,11 +1205,11 @@ def changefeed_range_refs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
     partition's feed is one :func:`_part_feed`: when the range only
     appended delta files to a partition's composition, it folds just the
     conversations those files touch; otherwise it folds both
-    compositions in full. The partitions run grouped like the epoch
-    exchange: ``G = min(n, cluster CPUs)`` tasks for the ``n``
-    partitions, partition ``i`` of the sorted pids in group ``i % G``,
-    each task returning one object per partition — Ray's cost per task
-    exceeds a small partition's fold and diff. A consumer
+    compositions in full. The partitions run grouped like every
+    partition stage (:func:`per_partition`): ``G = min(n, cluster CPUs)``
+    tasks for the ``n`` partitions, each returning one object per
+    partition — Ray's cost per task exceeds a small partition's fold and
+    diff. A consumer
     that catches up after missing several epochs reads ONE compacted
     feed instead of replaying each epoch's feed; intermediate churn
     (insert-then-delete, update-then-revert) nets out by construction.
@@ -1203,16 +1231,7 @@ def changefeed_range_refs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
     sets1 = lake.current_file_sets(as_of=to_epoch)
     pairs = [(sets0.get(pid, []), sets1.get(pid, []))
              for pid in sorted(set(sets0) | set(sets1))]
-    if not pairs:
-        return []
-    G = _group_count(len(pairs))
-    feed = _remote(_feed_group)
-    groups = []
-    for g in range(G):
-        group = pairs[g::G]
-        refs = feed.options(num_returns=len(group)).remote(group)
-        groups.append(refs if isinstance(refs, list) else [refs])
-    return [groups[i % G][i // G] for i in range(len(pairs))]
+    return per_partition(_part_feed, pairs)
 
 
 def changefeed_refs(lake: Lake, epoch: int) -> list:
@@ -1258,19 +1277,20 @@ def changefeed(lake: Lake, epoch: int) -> pa.Table:
 
 
 def vacuum_lake(lake: Lake, keep_epochs: int = 1) -> dict:
-    """Physically delete data files that no retained snapshot references
-    (the Delta-VACUUM analogue, and the completion of ``expire_turns``'s
-    compliance note: expired rows vanish from the lake's BYTES, not just
-    its current state).
+    """Physically delete state and view files that no retained snapshot
+    references (the Delta-VACUUM analogue, and the completion of
+    ``expire_turns``'s compliance note: expired rows vanish from the
+    lake's BYTES, not just its current state — including the
+    materialized views computed over them).
 
     Retained snapshots: every ``as_of`` from ``max_epoch - keep_epochs``
     up to the head (plus the head itself). Everything under ``data/``
-    not referenced by one of those compositions is removed. Time travel
-    below the horizon stops resolving — that is the point. Lineage XML
-    and commit records are audit metadata and are kept. Safe under
-    concurrent readers of retained snapshots (their files are never
-    candidates); a crash mid-delete just leaves fewer bytes to delete
-    next run."""
+    and ``views/`` not referenced by one of those snapshots' entries is
+    removed. Time travel below the horizon stops resolving — that is the
+    point. Lineage XML and commit records are audit metadata and are
+    kept. Safe under concurrent readers of retained snapshots (their
+    files are never candidates); a crash mid-delete just leaves fewer
+    bytes to delete next run."""
     import glob
 
     epochs = lake.committed_epochs()
@@ -1278,26 +1298,29 @@ def vacuum_lake(lake: Lake, keep_epochs: int = 1) -> dict:
         return {"files_deleted": 0, "bytes_deleted": 0}
     horizon = max(epochs) - max(keep_epochs, 0)
     keep: set[str] = set()
-    for e in [x for x in epochs if x >= horizon] or [max(epochs)]:
-        for paths in lake.current_file_sets(as_of=e).values():
-            keep.update(os.path.abspath(p) for p in paths)
-    # the head may fold GC rewrites newer than any epoch number
-    for paths in lake.current_file_sets().values():
-        keep.update(os.path.abspath(p) for p in paths)
+    # the head (None) may fold GC rewrites newer than any epoch number
+    for as_of in [x for x in epochs if x >= horizon] + [None]:
+        for e in lake.current_entries(as_of).values():
+            rels = [*(e.get("files") or [e["file"]]),
+                    *(e.get("views") or {}).values()]
+            keep.update(os.path.abspath(os.path.join(lake.root, r)) for r in rels)
 
     # Staged-but-uncommitted files of an IN-FLIGHT epoch or GC rewrite
-    # (state files land before the commit record — the two-phase-commit
-    # write order) must survive a concurrent vacuum, or the subsequent
-    # commit references deleted data. Anything numbered above the
-    # committed watermarks is a writer's staging area, not garbage;
-    # crash orphans there are reclaimed once a higher number commits.
+    # (state and view files land before the commit record — the
+    # two-phase-commit write order) must survive a concurrent vacuum, or
+    # the subsequent commit references deleted data. Anything numbered
+    # above the committed watermarks is a writer's staging area, not
+    # garbage; crash orphans there are reclaimed once a higher number
+    # commits.
     max_epoch = max(epochs)
     gc_seqs = lake.gc_seqs()
     max_gc = max(gc_seqs) if gc_seqs else -1
     dir_re = re.compile(r"^(epoch|gc)=(\d+)$")
 
     n, freed = 0, 0
-    for p in glob.glob(os.path.join(lake.root, "data", "*", "*.parquet")):
+    files = (glob.glob(os.path.join(lake.root, "data", "*", "*.parquet"))
+             + glob.glob(os.path.join(lake.root, "views", "*", "*", "*.parquet")))
+    for p in files:
         ap = os.path.abspath(p)
         if ap in keep:
             continue

@@ -18,7 +18,13 @@ import pyarrow.compute as pc
 
 from .. import cache
 from ..config import EngineConfig
-from ..pipelines.cdc import apply_epoch, canonical_state_table
+from ..pipelines.cdc import (
+    apply_epoch,
+    canonical_state_table,
+    map_partitions,
+    per_partition,
+    split_stage,
+)
 from ..sources.wal import changelog_dataset, events_to_changelog, max_event_id
 from ..state.manifest import Lake
 from ._util import finalize
@@ -157,7 +163,6 @@ def cdc_conv_summary(sf_dir: str) -> pa.Table:
     import ray
 
     def summarize(lake):
-        @ray.remote
         def part_summary(paths: list) -> pa.Table:
             from image_report_ray.state.manifest import read_canonical
 
@@ -175,9 +180,7 @@ def cdc_conv_summary(sf_dir: str) -> pa.Table:
                 }
             )
 
-        sets = lake.current_file_sets()
-        refs = [part_summary.remote(paths) for _, paths in sorted(sets.items())]
-        tabs = [t for t in ray.get(refs) if t.num_rows]
+        tabs = [t for t in ray.get(map_partitions(lake, part_summary)) if t.num_rows]
         if not tabs:
             return pa.table(
                 {"conv_id": pa.array([], pa.string()),
@@ -207,7 +210,7 @@ def cdc_conv_summary_view(sf_dir: str) -> pa.Table:
 
     lake = _shared_lake(sf_dir, "full-views", build)
     files = lake.current_view_files("conv_summary")
-    tabs = [pq.read_table(p) for _, p in sorted(files.items())]
+    tabs = [pq.ParquetFile(p).read() for _, p in sorted(files.items())]
     tabs = [t for t in tabs if t.num_rows]
     if not tabs:
         return pa.table(
@@ -260,7 +263,6 @@ def cdc_loop_detect(sf_dir: str) -> pa.Table:
     import ray
 
     def detect(lake):
-        @ray.remote
         def part_loops(paths: list) -> pa.Table:
             import numpy as np
             import pandas as pd
@@ -289,9 +291,7 @@ def cdc_loop_detect(sf_dir: str) -> pa.Table:
                 }
             )
 
-        sets = lake.current_file_sets()
-        refs = [part_loops.remote(paths) for _, paths in sorted(sets.items())]
-        tabs = [t for t in ray.get(refs) if t.num_rows]
+        tabs = [t for t in ray.get(map_partitions(lake, part_loops)) if t.num_rows]
         if not tabs:
             return pa.table(
                 {"conv_id": pa.array([], pa.string()),
@@ -320,7 +320,6 @@ def cdc_role_stats(sf_dir: str) -> pa.Table:
     import ray
 
     def profile(lake):
-        @ray.remote
         def part_profile(paths: list) -> pa.Table:
             import pyarrow.compute as pc
 
@@ -357,9 +356,7 @@ def cdc_role_stats(sf_dir: str) -> pa.Table:
                 }
             )
 
-        sets = lake.current_file_sets()
-        refs = [part_profile.remote(paths) for _, paths in sorted(sets.items())]
-        tabs = [t for t in ray.get(refs) if t.num_rows]
+        tabs = [t for t in ray.get(map_partitions(lake, part_profile)) if t.num_rows]
         if not tabs:
             return pa.table(
                 {"conv_id": pa.array([], pa.string()),
@@ -415,7 +412,6 @@ def cdc_incremental_dedup(
     # snapshot (identical by construction to an epoch-0-only replay)
     lake = _split_lake(sf_dir)
 
-    @ray.remote
     def part_fingerprints(paths: list) -> pa.Table:
         import numpy as np
 
@@ -429,10 +425,7 @@ def cdc_incremental_dedup(
         h = np.unique(hash_utf8_64(txt))
         return pa.table({"h": pa.array(h, pa.uint64())})
 
-    sets = lake.current_file_sets(as_of=0)
-    fp_refs = [
-        part_fingerprints.remote(paths) for _, paths in sorted(sets.items())
-    ]
+    fp_refs = map_partitions(lake, part_fingerprints, as_of=0)
 
     def incoming(t: pa.Table) -> pa.Table:
         ch = events_to_changelog(
@@ -537,7 +530,6 @@ def cdc_state_diff(sf_dir: str) -> pa.Table:
 
     lake = _split_lake(sf_dir)
 
-    @ray.remote
     def part_diff(paths0: list, paths1: list) -> pa.Table:
         import numpy as np
         import pandas as pd
@@ -589,10 +581,10 @@ def cdc_state_diff(sf_dir: str) -> pa.Table:
 
     sets0 = lake.current_file_sets(as_of=0)
     sets1 = lake.current_file_sets()
-    refs = [
-        part_diff.remote(sets0.get(pid, []), sets1.get(pid, []))
+    refs = per_partition(part_diff, [
+        (sets0.get(pid, []), sets1.get(pid, []))
         for pid in sorted(set(sets0) | set(sets1))
-    ]
+    ])
     tabs = [t for t in ray.get(refs) if t.num_rows]
     if not tabs:
         t = pa.table(
@@ -626,7 +618,6 @@ def cdc_tool_transitions(sf_dir: str) -> pa.Table:
     import ray
 
     def mine(lake):
-        @ray.remote
         def part_trans(paths: list) -> pa.Table:
             import numpy as np
 
@@ -648,9 +639,7 @@ def cdc_tool_transitions(sf_dir: str) -> pa.Table:
             g = pairs.group_by(["tool_a", "tool_b"]).aggregate([([], "count_all")])
             return g.rename_columns(["tool_a", "tool_b", "n_part"])
 
-        sets = lake.current_file_sets()
-        refs = [part_trans.remote(paths) for _, paths in sorted(sets.items())]
-        tabs = [t for t in ray.get(refs) if t.num_rows]
+        tabs = [t for t in ray.get(map_partitions(lake, part_trans)) if t.num_rows]
         if not tabs:
             return pa.table(
                 {"tool_a": pa.array([], pa.string()),
@@ -680,7 +669,6 @@ def cdc_flatten_transcripts(sf_dir: str) -> pa.Table:
     import ray
 
     def flatten(lake):
-        @ray.remote
         def part_flatten(paths: list) -> pa.Table:
             import numpy as np
 
@@ -709,9 +697,7 @@ def cdc_flatten_transcripts(sf_dir: str) -> pa.Table:
                 }
             )
 
-        sets = lake.current_file_sets()
-        refs = [part_flatten.remote(paths) for _, paths in sorted(sets.items())]
-        tabs = [t for t in ray.get(refs) if t.num_rows]
+        tabs = [t for t in ray.get(map_partitions(lake, part_flatten)) if t.num_rows]
         if not tabs:
             return pa.table(
                 {"conv_id": pa.array([], pa.string()),
@@ -744,7 +730,6 @@ def cdc_export_conversations(sf_dir: str) -> pa.Table:
     import ray
 
     def export(lake):
-        @ray.remote
         def part_export(paths: list) -> pa.Table:
             import numpy as np
             import pandas as pd
@@ -795,9 +780,7 @@ def cdc_export_conversations(sf_dir: str) -> pa.Table:
                 }
             )
 
-        sets = lake.current_file_sets()
-        refs = [part_export.remote(paths) for _, paths in sorted(sets.items())]
-        tabs = [t for t in ray.get(refs) if t.num_rows]
+        tabs = [t for t in ray.get(map_partitions(lake, part_export)) if t.num_rows]
         if not tabs:
             return pa.table(
                 {"conv_id": pa.array([], pa.string()),
@@ -840,7 +823,6 @@ def cdc_dedup_conversations(sf_dir: str) -> pa.Table:
 
     lake = _full_lake(sf_dir)
 
-    @ray.remote
     def part_digest(paths: list) -> pa.Table:
         from image_report_ray.state.manifest import read_canonical
 
@@ -903,8 +885,7 @@ def cdc_dedup_conversations(sf_dir: str) -> pa.Table:
             }
         )
 
-    sets = lake.current_file_sets()
-    refs = [part_digest.remote(paths) for _, paths in sorted(sets.items())]
+    refs = map_partitions(lake, part_digest)
     t = gather_concat(exchange_reduce([refs], ["h"], winner_kernel))
     if t.num_rows == 0 or "conv_id" not in t.column_names:
         return pa.table(
@@ -990,7 +971,6 @@ def cdc_conv_gaps(sf_dir: str) -> pa.Table:
     import numpy as np
     import ray
 
-    @ray.remote
     def part_gaps(paths: list) -> pa.Table:
         from image_report_ray.state.manifest import read_canonical
 
@@ -1028,9 +1008,7 @@ def cdc_conv_gaps(sf_dir: str) -> pa.Table:
         )
 
     lake = _full_lake(sf_dir)
-    sets = lake.current_file_sets()
-    refs = [part_gaps.remote(paths) for _, paths in sorted(sets.items())]
-    tabs = [t for t in ray.get(refs) if t.num_rows]
+    tabs = [t for t in ray.get(map_partitions(lake, part_gaps)) if t.num_rows]
     if not tabs:
         return pa.table(
             {"conv_id": pa.array([], pa.string()),
@@ -1068,7 +1046,6 @@ def cdc_tool_cooccurrence(sf_dir: str) -> pa.Table:
          "n_convs": pa.array([], pa.int64())}
     )
 
-    @ray.remote
     def part_pairs(paths: list) -> pa.Table:
         from image_report_ray.state.manifest import read_canonical
 
@@ -1111,9 +1088,7 @@ def cdc_tool_cooccurrence(sf_dir: str) -> pa.Table:
         )
 
     lake = _full_lake(sf_dir)
-    sets = lake.current_file_sets()
-    refs = [part_pairs.remote(paths) for _, paths in sorted(sets.items())]
-    tabs = [t for t in ray.get(refs) if t.num_rows]
+    tabs = [t for t in ray.get(map_partitions(lake, part_pairs)) if t.num_rows]
     if not tabs:
         return empty
     allp = pa.concat_tables(tabs, promote_options="default")
@@ -1210,6 +1185,30 @@ def cdc_late_arrivals(sf_dir: str, epoch_size: int = 2500) -> pa.Table:
     return finalize(out, [("epoch", "ascending")])
 
 
+def _activity_split(t: pa.Table, P: int):
+    """:func:`cdc_conv_activity`'s split: one batch's per-conv event
+    partials (conv_id, n, max ts), routed by the lake's
+    ``conv_hash % P``; counts the partials."""
+    import numpy as np
+
+    from ..stages.derive import conv_hash
+
+    uid = t.column("user_id")
+    if isinstance(uid, pa.ChunkedArray):
+        uid = uid.combine_chunks()
+    conv = np.char.add(
+        "c", uid.to_numpy(zero_copy_only=False).astype("U20")
+    )
+    ts = t.column("ts").cast(pa.int64()).to_numpy()
+    # per-batch combine before the split: one row per conv
+    tb = pa.table(
+        {"conv_id": pa.array(conv, pa.string()),
+         "ts_us": pa.array(ts, pa.int64())}
+    ).group_by(["conv_id"]).aggregate([([], "count_all"), ("ts_us", "max")])
+    pid = conv_hash(tb.column("conv_id")) % P
+    return tuple(tb.filter(pa.array(pid == p)) for p in range(P)), tb.num_rows
+
+
 def cdc_conv_activity(sf_dir: str) -> pa.Table:
     """Enrich the REPLAYED lake with the raw event stream — the
     external-dimension join every lake serves (state ⋈ telemetry):
@@ -1219,41 +1218,17 @@ def cdc_conv_activity(sf_dir: str) -> pa.Table:
     The join ships ZERO state: per-batch event partials
     (conv_id, n, max_ts) are split by the LAKE's own routing function
     (``derive.conv_hash % P``), so each partial lands exactly where its
-    conversation's state already lives; one task per lake partition
-    LWW-folds its files and attaches the aggregates locally. This is
+    conversation's state already lives; one join per lake partition
+    (:func:`per_partition`'s exchange mode) LWW-folds its files and
+    attaches the aggregates locally. This is
     the alignment contract a production lake gives its consumers: reuse
     the state's partitioner and a state-side shuffle never happens."""
     import ray
 
-    from ..stages.derive import conv_hash
-
     lake = _full_lake(sf_dir)
     sets = lake.current_file_sets()
-    P = _P
 
-    @ray.remote
-    def ev_split(t: pa.Table, P: int):
-        import numpy as np
-
-        uid = t.column("user_id")
-        if isinstance(uid, pa.ChunkedArray):
-            uid = uid.combine_chunks()
-        conv = np.char.add(
-            "c", uid.to_numpy(zero_copy_only=False).astype("U20")
-        )
-        ts = t.column("ts").cast(pa.int64()).to_numpy()
-        # per-batch combine before the split: one row per conv
-        tb = pa.table(
-            {"conv_id": pa.array(conv, pa.string()),
-             "ts_us": pa.array(ts, pa.int64())}
-        ).group_by(["conv_id"]).aggregate([([], "count_all"), ("ts_us", "max")])
-        pid = conv_hash(tb.column("conv_id")) % P
-        return tuple(
-            tb.filter(pa.array(pid == p)) for p in range(P)
-        )
-
-    @ray.remote
-    def part_join(paths: list, *ev_parts) -> pa.Table:
+    def part_join(paths: list, ev_parts: list) -> pa.Table:
         import numpy as np
 
         from image_report_ray.state.manifest import read_canonical
@@ -1301,12 +1276,9 @@ def cdc_conv_activity(sf_dir: str) -> pa.Table:
     import ray.data as rd
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    base_refs = ds.to_arrow_refs()
-    splits = [ev_split.options(num_returns=P).remote(r, P) for r in base_refs]
-    refs = [
-        part_join.remote(paths, *[s[p] for s in splits])
-        for p, paths in sorted(sets.items())
-    ]
+    splits = split_stage(_activity_split, ds.to_arrow_refs(), _P)
+    refs = per_partition(part_join, [(sets.get(p, []),) for p in range(_P)],
+                         exchange=splits)
     tabs = [t for t in ray.get(refs) if t.num_rows]
     if not tabs:
         return pa.table(
@@ -1342,7 +1314,6 @@ def cdc_conv_first_last(sf_dir: str) -> pa.Table:
          "last_text": pa.array([], pa.string())}
     )
 
-    @ray.remote
     def part_fl(paths: list) -> pa.Table:
         from image_report_ray.state.manifest import read_canonical
 
@@ -1363,9 +1334,7 @@ def cdc_conv_first_last(sf_dir: str) -> pa.Table:
         )
 
     lake = _full_lake(sf_dir)
-    sets = lake.current_file_sets()
-    refs = [part_fl.remote(paths) for _, paths in sorted(sets.items())]
-    tabs = [t for t in ray.get(refs) if t.num_rows]
+    tabs = [t for t in ray.get(map_partitions(lake, part_fl)) if t.num_rows]
     if not tabs:
         return empty
     return finalize(
@@ -1836,7 +1805,6 @@ def cdc_role_bigrams(sf_dir: str) -> pa.Table:
                       "role_to": pa.array([], pa.string()),
                       "n": pa.array([], pa.int64())})
 
-    @ray.remote
     def part_bigrams(paths: list) -> pa.Table:
         from image_report_ray.state.manifest import read_canonical
 
@@ -1859,9 +1827,7 @@ def cdc_role_bigrams(sf_dir: str) -> pa.Table:
                          "n": g.column("count_all").cast(pa.int64())})
 
     lake = _full_lake(sf_dir)
-    sets = lake.current_file_sets()
-    refs = [part_bigrams.remote(paths) for _, paths in sorted(sets.items())]
-    tabs = [t for t in ray.get(refs) if t.num_rows]
+    tabs = [t for t in ray.get(map_partitions(lake, part_bigrams)) if t.num_rows]
     if not tabs:
         return empty
     g = (pa.concat_tables(tabs).group_by(["role_from", "role_to"])
@@ -1888,7 +1854,6 @@ def cdc_turn_len_quantiles(sf_dir: str) -> pa.Table:
                       "n_turns": pa.array([], pa.int64()),
                       **{nm: pa.array([], pa.int64()) for _, _, nm in _TLQ}})
 
-    @ray.remote
     def part_hist(paths: list) -> pa.Table:
         import pyarrow.compute as pcc
 
@@ -1907,10 +1872,7 @@ def cdc_turn_len_quantiles(sf_dir: str) -> pa.Table:
                          "n": g.column("count_all").cast(pa.int64())})
 
     lake = _full_lake(sf_dir)
-    sets = lake.current_file_sets()
-    tabs = [t for t in ray.get(
-        [part_hist.remote(paths) for _, paths in sorted(sets.items())])
-        if t.num_rows]
+    tabs = [t for t in ray.get(map_partitions(lake, part_hist)) if t.num_rows]
     if not tabs:
         return empty
     hist = (pa.concat_tables(tabs).group_by(["role", "len"])
@@ -1957,7 +1919,6 @@ def cdc_reply_latency(sf_dir: str, shift: int = _RL_SHIFT) -> pa.Table:
     import numpy as np
     import ray
 
-    @ray.remote
     def part_gaps(paths: list) -> pa.Table:
         from image_report_ray.state.manifest import read_canonical
 
@@ -1976,8 +1937,7 @@ def cdc_reply_latency(sf_dir: str, shift: int = _RL_SHIFT) -> pa.Table:
         return pa.table({"gap": pa.array(ts[1:][m] - ts[:-1][m], pa.int64())})
 
     lake = _full_lake(sf_dir)
-    sets = lake.current_file_sets()
-    refs = [part_gaps.remote(paths) for _, paths in sorted(sets.items())]
+    refs = map_partitions(lake, part_gaps)
 
     @ray.remote
     def hist_task(t: pa.Table, sh: int) -> pa.Table:

@@ -24,6 +24,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ._util import arrow_refs
+
 _EX_REMOTES = None
 _DEFAULT_PARTS = 16
 
@@ -107,7 +109,7 @@ def exchange_reduce(
         P = 2  # num_returns=1 would return a bare ref, not a list
     mats_by_side: list[list] = []
     for side, key in zip(sides, key_cols):
-        refs = side if isinstance(side, list) else side.to_arrow_refs()
+        refs = side if isinstance(side, list) else arrow_refs(side)
         mats_by_side.append(
             [split.options(num_returns=P).remote(r, key, P) for r in refs]
         )

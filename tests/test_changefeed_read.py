@@ -496,7 +496,8 @@ def test_late_event_below_previous_high_water_still_feeds(
 
 
 def _spy_feed_tasks(monkeypatch) -> list:
-    """Record the ``num_returns`` of every grouped feed task submitted."""
+    """Record the ``num_returns`` of every group task submitted (the
+    feed's fan-out is the one ``per_partition`` group task)."""
     submitted = []
     real = cdc._remote
 
@@ -509,7 +510,7 @@ def _spy_feed_tasks(monkeypatch) -> list:
             return self.task.options(**kw)
 
     monkeypatch.setattr(cdc, "_remote", lambda fn: Spy(real(fn))
-                        if fn is cdc._feed_group else real(fn))
+                        if fn is cdc._each else real(fn))
     return submitted
 
 

@@ -199,6 +199,62 @@ def test_expire_plus_vacuum_destroys_bytes(ray_session, tmp_path):
     assert left.column("text").to_pylist() == ["fresh data"]
 
 
+def test_vacuum_deletes_superseded_view_files(ray_session, tmp_path):
+    """Views under merge-on-read, then expiry, then vacuum to the head:
+    every view file left on disk is one the head references (or an
+    in-flight epoch's staging), so no view byte still names a
+    conversation the expiry removed, and the head's views still resolve
+    and equal their recompute from the state."""
+    import glob
+    import os
+    import shutil
+
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from image_report_ray.pipelines.cdc import expire_turns, vacuum_lake
+    from image_report_ray.state.manifest import read_composition
+    from image_report_ray.state.views import VIEW_REGISTRY, sort_view
+
+    wal = str(tmp_path / "wal")
+    gen = dict(seed=9, max_turns=6)
+    write_wal(wal, n_epochs=3, epoch_size=600, n_convs=60, **gen)
+    lake = Lake(str(tmp_path / "lake"), num_partitions=4)
+    cfg = EngineConfig(num_partitions=4, merge_mode="mor", compact_every=2,
+                       views=("conv_summary",))
+    for e in range(3):
+        apply_epoch(lake, e, sorted(glob.glob(f"{wal}/epoch={e:05d}/*")), cfg)
+    # expire every turn before epoch 3, which touches only half of the
+    # conversations and compacts, recomputing the views
+    last = gen_epoch(3, 600, n_convs=30, **gen)
+    assert expire_turns(lake, pc.min(last.column("ts")).value)["expired"] > 0
+    apply_epoch(lake, 3, rd.from_arrow(last), cfg)
+    view_glob = os.path.join(lake.root, "views", "*", "*", "*.parquet")
+    written = sorted(glob.glob(view_glob))
+    ever = set()
+    for p in written:
+        ever.update(pq.read_table(p).column("conv_id").to_pylist())
+    staged = os.path.join(lake.root, "views", "conv_summary", "epoch=00004",
+                          "pid=00000.parquet")
+    os.makedirs(os.path.dirname(staged))
+    shutil.copyfile(written[0], staged)
+
+    vacuum_lake(Lake(lake.root), keep_epochs=0)
+
+    head = Lake(lake.root).current_view_files("conv_summary")
+    assert head
+    assert sorted(glob.glob(view_glob)) == sorted([*head.values(), staged])
+    live = set(canonical_state_table(lake).column("conv_id").to_pylist())
+    assert ever - live, "no conversation vanished entirely"
+    for p in head.values():
+        assert set(pq.read_table(p).column("conv_id").to_pylist()) <= live
+    for pid, paths in Lake(lake.root).current_file_sets().items():
+        want = VIEW_REGISTRY["conv_summary"](read_composition(paths))
+        got = pq.read_table(head[pid])
+        assert sort_view("conv_summary", got).equals(
+            sort_view("conv_summary", want))
+
+
 def test_lifecycle_on_evolved_lake(ray_session, tmp_path):
     """expire -> tombstone-GC -> vacuum over a lake whose schema evolved
     mid-log (additive ``meta`` column from epoch 1): every maintenance

@@ -156,3 +156,70 @@ def test_every_state_file_is_in_key_order_with_unique_keys(ray_session, tmp_path
         for paths in lake.current_file_sets().values():
             assert read_canonical(paths).equals(
                 export_canonical(read_composition(paths)))
+
+
+def _events_dir(root) -> str:
+    """A small ``events.parquet`` in the query corpus schema (the cdcq
+    source)."""
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    n = 1500
+    os.makedirs(root, exist_ok=True)
+    pq.write_table(pa.table({
+        "event_id": pa.array(np.arange(n), pa.int64()),
+        "ts": pa.array(np.sort(rng.integers(0, 10**12, n)), pa.timestamp("us")),
+        "user_id": pa.array(rng.integers(0, 60, n), pa.int64()),
+        "event_type": pa.array(rng.choice(["click", "view", "error"], n)),
+        "props": pa.array([f'{{"k": {k}}}' for k in rng.integers(0, 50, n)]),
+    }), os.path.join(root, "events.parquet"))
+    return str(root)
+
+
+def test_every_partition_stage_is_independent_of_group_count(
+        ray_session, tmp_path, monkeypatch):
+    """Every stage on the one partition fan-out gives the same bytes and
+    rows at G = 1, 2 and 4: GC and expiry rewrites, reshard to P=1 and
+    P=3, bootstrap to P=1 and P=5, the canonical export Dataset and two
+    cdcq state queries (a plain fan-out and the lake-aligned join)."""
+    import ray
+
+    from image_report_ray.pipelines import cdcq
+
+    wal_dir = str(tmp_path / "wal")
+    write_wal(wal_dir, n_epochs=3, epoch_size=1500, n_parts=2, **GEN)
+    corpus = str(tmp_path / "corpus.parquet")
+    pq.write_table(apply_naive(full_changelog(3, 1500, **GEN)), corpus)
+    sf = _events_dir(tmp_path / "sf")
+    cfg = EngineConfig(num_partitions=8, merge_mode="mor", compact_every=2,
+                       map_task_rows=1000, views=("conv_summary",))
+    results = {}
+    for G in (1, 2, 4):
+        monkeypatch.setattr(cdc, "_group_count", lambda n, G=G: min(n, G))
+        root = tmp_path / f"G{G}"
+        lake = Lake(str(root / "lake"), num_partitions=8)
+        for e, files in cdc.discover_epochs(wal_dir).items():
+            cdc.apply_epoch(lake, e, files, cfg)
+        assert cdc.gc_tombstones(lake, before_lsn=3000)["tombstones_dropped"]
+        ts = cdc.canonical_state_table(lake).column("ts").cast(pa.int64())
+        cutoff = int(pc.approximate_median(ts).as_py())
+        assert cdc.expire_turns(lake, cutoff)["expired"] > 0
+        for P in (1, 3):
+            cdc.reshard_lake(lake, str(root / f"re{P}"), P)
+        for P in (1, 5):
+            cdc.bootstrap_lake(corpus, str(root / f"boot{P}"), P)
+        lakes = ("lake", "re1", "re3", "boot1", "boot5")
+        trees = {
+            (name, sub): _sha_tree(str(root / name / sub))
+            for name in lakes for sub in ("data", "views", "_commits")
+        }
+        ds = cdc.canonical_state_dataset(lake)
+        export = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+        queries = (cdcq.cdc_conv_summary(sf), cdcq.cdc_conv_activity(sf))
+        results[G] = (trees, export, queries)
+    assert results[1][0][("lake", "views")]
+    assert results[1][1].num_rows and all(q.num_rows for q in results[1][2])
+    for G in (2, 4):
+        assert results[G][0] == results[1][0], G
+        assert results[G][1].equals(results[1][1]), G
+        assert all(a.equals(b) for a, b in zip(results[G][2], results[1][2])), G
