@@ -39,8 +39,12 @@ class MetricResult:
     attrs: dict = field(default_factory=dict)
 
 
-def _live(state: pa.Table) -> pa.Table:
-    return state.filter(pc.invert(state.column(DELETED_COL)))
+def _live(state: pa.Table, name: str) -> "pa.ChunkedArray | None":
+    """Column ``name`` over the live rows only (``None`` if absent): one
+    column is filtered, not the whole state."""
+    if name not in state.column_names:
+        return None
+    return state.column(name).filter(pc.invert(state.column(DELETED_COL)))
 
 
 # ---- profile metrics (RLE-encoded integer sequences, A1's graft) ------
@@ -49,20 +53,20 @@ def _live(state: pa.Table) -> pa.Table:
 def turn_profile(state: pa.Table) -> MetricResult:
     """Turn-index occupancy over live rows — the engine's projection
     profile (/root/reference/analysis.py:107-108), RLE-encoded."""
-    live = _live(state)
-    if live.num_rows == 0:
+    live = _live(state, "turn_idx")
+    if not len(live):
         return MetricResult("", {"encoding": "rle", "count": 0})
-    t = live.column("turn_idx").combine_chunks().to_numpy(zero_copy_only=False)
+    t = live.combine_chunks().to_numpy(zero_copy_only=False)
     prof = np.bincount(t).tolist()
     return MetricResult(rle_encode(prof), {"encoding": "rle", "count": len(prof)})
 
 
 def text_len_hist(state: pa.Table) -> MetricResult:
     """log2-bucketed live text lengths, RLE-encoded (16 buckets)."""
-    live = _live(state)
-    if live.num_rows == 0 or "text" not in live.column_names:
+    live = _live(state, "text")
+    if live is None or not len(live):
         return MetricResult("", {"encoding": "rle", "count": 0})
-    ln = pc.utf8_length(live.column("text")).combine_chunks()
+    ln = pc.utf8_length(live).combine_chunks()
     lnp = ln.to_numpy(zero_copy_only=False).astype(np.float64)
     lnp = lnp[~np.isnan(lnp)]
     if not len(lnp):
@@ -74,10 +78,10 @@ def text_len_hist(state: pa.Table) -> MetricResult:
 
 def role_counts(state: pa.Table) -> MetricResult:
     """Live rows per role, emitted ``role:count`` sorted by role."""
-    live = _live(state)
-    if live.num_rows == 0:
+    live = _live(state, "role")
+    if not len(live):
         return MetricResult("")
-    vc = live.column("role").combine_chunks().drop_null().value_counts()
+    vc = live.combine_chunks().drop_null().value_counts()
     pairs = sorted(
         zip(vc.field("values").to_pylist(), vc.field("counts").to_pylist())
     )
@@ -86,10 +90,10 @@ def role_counts(state: pa.Table) -> MetricResult:
 
 def tool_counts(state: pa.Table) -> MetricResult:
     """Live rows per tool (nulls excluded), ``tool:count`` sorted."""
-    live = _live(state)
-    if live.num_rows == 0 or "tool" not in live.column_names:
+    live = _live(state, "tool")
+    if live is None or not len(live):
         return MetricResult("")
-    col = live.column("tool").combine_chunks().drop_null()
+    col = live.combine_chunks().drop_null()
     if len(col) == 0:
         return MetricResult("")
     vc = col.value_counts()
@@ -131,10 +135,10 @@ def text_digest_xor(state: pa.Table) -> MetricResult:
     merkle digest)."""
     import pandas as pd
 
-    live = _live(state)
-    if live.num_rows == 0 or "text" not in live.column_names:
+    live = _live(state, "text")
+    if live is None or not len(live):
         return MetricResult("text_digest_xor_empty_input")
-    txt = live.column("text").combine_chunks().drop_null()
+    txt = live.combine_chunks().drop_null()
     if len(txt) == 0:
         return MetricResult("text_digest_xor_empty_input")
     h = pd.util.hash_array(txt.to_numpy(zero_copy_only=False)).astype(np.uint64)

@@ -32,7 +32,7 @@ _TM_MINHASH_PERMS = 8
 def _live_text(state: pa.Table) -> "pa.Array | None":
     if state.num_rows == 0 or "text" not in state.column_names:
         return None
-    txt = _live(state).column("text").combine_chunks().drop_null()
+    txt = _live(state, "text").combine_chunks().drop_null()
     return txt if len(txt) else None
 
 

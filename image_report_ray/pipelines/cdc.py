@@ -179,7 +179,7 @@ def prepare_and_split(
 def merge_partition_kernel(
     pid: int,
     parts: list[pa.Table],
-    prior: pa.Table | None,
+    prior: "pa.Table | list[pa.Table] | None",
     prior_lsn: int,
     lake_root: str,
     epoch: int,
@@ -189,7 +189,9 @@ def merge_partition_kernel(
     prior_views: "dict[str, pa.Table] | None" = None,
     affected_extra: "np.ndarray | None" = None,
 ) -> dict | None:
-    """The reduce side: apply one partition's change slices to its state.
+    """The reduce side: apply one partition's change slices to its state
+    (``prior``: one state table, or a composition to fold in the same
+    sort as the changes — see ``merge_state_with_changes``).
 
     Writes the new state file under its deterministic staged name and
     returns a JSON-able row: its commit entry fields (``stage_partition``)
@@ -424,22 +426,22 @@ def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, lake_root,
                 epoch, mnames, parts):
     """Merge one partition's slices, in map-task order; ``None`` when the
     epoch has no events for it (its committed entry stands, and its prior
-    state is not read). With ``prior_paths`` it is a compaction: fold the
-    prior composition (base + deltas) and apply the epoch on top,
-    writing a full state file (+ any registered materialized views —
-    only a compaction has the full state to compute them from). Empty
-    ``prior_paths`` (a fresh partition, or a delta epoch, which gets no
-    views either) writes the epoch's compacted winners alone: a delta
-    epoch costs O(delta) and cross-epoch resolution happens at fold
-    time (Hudi/Iceberg merge-on-read, public design). ``view_rels``
+    state is not read). With ``prior_paths`` it is a compaction: the
+    prior composition (base + deltas) is read unfolded and the merge
+    sorts it once together with the epoch's events, writing a full state
+    file (+ any registered materialized views — only a compaction has
+    the full state to compute them from). Empty ``prior_paths`` (a fresh partition, or a delta
+    epoch, which gets no views either) writes the epoch's winners alone:
+    a delta epoch costs O(delta) and cross-epoch resolution happens at
+    fold time (Hudi/Iceberg merge-on-read, public design). ``view_rels``
     maps view name -> the previous committed view file (relative) so
-    maintenance can run incrementally; the conversations in the
-    deltas (``prior_paths[1:]``, changes folded since that view's
-    snapshot) join the affected set."""
+    maintenance can run incrementally; the conversations in the deltas
+    (``prior_paths[1:]``, changes folded since that view's snapshot)
+    join the affected set."""
     parts = [p for p in parts if p.num_rows]
     if not parts:
         return None
-    prior = read_composition(prior_paths)
+    prior = [pq.ParquetFile(p).read() for p in prior_paths]
     prior_views: dict[str, pa.Table] = {}
     for vname, rel in view_rels.items():
         try:
@@ -447,14 +449,10 @@ def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, lake_root,
         except (pa.ArrowInvalid, OSError):
             pass  # missing/corrupt previous view -> full recompute
     affected_extra = None
-    if prior_views and len(prior_paths) > 1:
+    if prior_views and len(prior) > 1:
         affected_extra = np.unique(
             np.concatenate(
-                [
-                    pq.ParquetFile(p).read(columns=["conv_id"])
-                    .column("conv_id").to_numpy(zero_copy_only=False)
-                    for p in prior_paths[1:]
-                ]
+                [t.column("conv_id").to_numpy() for t in prior[1:]]
             ).astype(object)
         )
     return merge_partition_kernel(
@@ -1070,7 +1068,7 @@ def bootstrap_lake(
     if lake.committed_epochs():
         raise ValueError("bootstrap target lake already has commits")
     splits = split_stage(
-        _split_boot, rd.read_parquet(src_parquet).to_arrow_refs(), num_partitions
+        _split_boot, arrow_refs(rd.read_parquet(src_parquet)), num_partitions
     )
     loaded = _migrate(
         lake, epoch, splits, -1, True,

@@ -27,7 +27,7 @@ from ..pipelines.cdc import (
 )
 from ..sources.wal import changelog_dataset, events_to_changelog, max_event_id
 from ..state.manifest import Lake
-from ._util import finalize
+from ._util import arrow_refs, finalize
 
 _P = 8  # partitions for the query-scale lakes
 
@@ -1276,7 +1276,7 @@ def cdc_conv_activity(sf_dir: str) -> pa.Table:
     import ray.data as rd
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    splits = split_stage(_activity_split, ds.to_arrow_refs(), _P)
+    splits = split_stage(_activity_split, arrow_refs(ds), _P)
     refs = per_partition(part_join, [(sets.get(p, []),) for p in range(_P)],
                          exchange=splits)
     tabs = [t for t in ray.get(refs) if t.num_rows]

@@ -41,7 +41,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._util import finalize
+from ._util import arrow_refs, finalize
 
 _NGRAM = 3
 
@@ -403,7 +403,7 @@ def pair_counts(
     import ray
 
     split, count, merge_partials = _pc_remotes()
-    refs = index if isinstance(index, list) else index.to_arrow_refs()
+    refs = index if isinstance(index, list) else arrow_refs(index)
     if P < 2:
         # num_returns=1 makes Ray hand back a bare ObjectRef instead of a
         # list; a 2-way exchange is the degenerate-but-correct floor
@@ -526,7 +526,7 @@ def pair_count_refs(
 
     split, count, _ = _pc_remotes()
     wrap, _ = _pc_ref_remotes()
-    refs = index if isinstance(index, list) else index.to_arrow_refs()
+    refs = index if isinstance(index, list) else arrow_refs(index)
     if P < 2:
         P = 2
     mats = [
@@ -694,7 +694,7 @@ def hamming_pairs(
     import ray
 
     split_v, count_h, merge_h = _hp_remotes()
-    refs = index if isinstance(index, list) else index.to_arrow_refs()
+    refs = index if isinstance(index, list) else arrow_refs(index)
     if P < 2:
         P = 2
     mats = [
@@ -754,7 +754,7 @@ def _ngram_jaccard_pair_refs_build(
         return pa.Table.from_pandas(df, preserve_index=False)
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    refs = ds.map_batches(explode, batch_format="pyarrow").to_arrow_refs()
+    refs = arrow_refs(ds.map_batches(explode, batch_format="pyarrow"))
     _, doc_sizes = _pc_ref_remotes()
 
     pair_refs, stats = pair_count_refs(refs, "shingle", "doc_id", P)
@@ -959,7 +959,7 @@ def dup_span_coverage(sf_dir: str, W: int = _SPAN_W, P: int = _PC_PARTS) -> pa.T
         return _doc_windows(block, W)
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    outs = [explode.remote(r) for r in ds.to_arrow_refs()]
+    outs = [explode.remote(r) for r in arrow_refs(ds)]
     post_refs = [o[0] for o in outs]
     count_refs = [o[1] for o in outs]
 
@@ -1042,7 +1042,7 @@ def top_spans(sf_dir: str, W: int = _SPAN_W, topn: int = 20) -> pa.Table:
         return _doc_windows(block, W)
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    doc_refs = ds.to_arrow_refs()
+    doc_refs = arrow_refs(ds)
     post_refs = [explode.remote(r)[0] for r in doc_refs]
     cand = gather_concat(
         exchange_reduce([post_refs], ["h"], fpartial(_span_top_kernel, topn))
@@ -1193,7 +1193,7 @@ def ngram_novelty(sf_dir: str, P: int = _PC_PARTS) -> pa.Table:
         )
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    post_refs = ds.map_batches(explode, batch_format="pyarrow").to_arrow_refs()
+    post_refs = arrow_refs(ds.map_batches(explode, batch_format="pyarrow"))
     flag_refs = exchange_reduce([post_refs], ["h"], _novelty_flag_kernel, P=P)
     sum_refs = exchange_reduce(
         [flag_refs], ["doc_id"], _novelty_sum_kernel, P=P
@@ -1537,8 +1537,8 @@ def _minhash_base_refs(sf_dir: str) -> list:
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
-    return ds.map_batches(
-        _minhash_sig_and_set, batch_format="pyarrow").to_arrow_refs()
+    return arrow_refs(ds.map_batches(
+        _minhash_sig_and_set, batch_format="pyarrow"))
 
 
 def dedup_minhash_lsh(sf_dir: str, tau: float = 0.5) -> pa.Table:
@@ -2111,9 +2111,9 @@ def decontaminate(
     # ONE read: the block refs feed the eval fold, the gate count, and
     # whichever corpus pass the gate routes to (previously the Dataset
     # re-executed per pass)
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).to_arrow_refs()
+    ))
     ev_refs = [eval_hashes.remote(r) for r in refs]
     n_eval = sum(ray.get([nrows.remote(r) for r in ev_refs]))
 
@@ -2395,7 +2395,7 @@ def dedup_edit_distance(sf_dir: str, max_dist: int = _EDIT_MAX_DIST) -> pa.Table
 
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    base_refs = ds.to_arrow_refs()
+    base_refs = arrow_refs(ds)
 
     @ray.remote
     def explode(t: pa.Table) -> pa.Table:
@@ -2586,7 +2586,7 @@ def containment_pair_refs(
         return pa.Table.from_pandas(df, preserve_index=False)
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    refs = ds.map_batches(explode, batch_format="pyarrow").to_arrow_refs()
+    refs = arrow_refs(ds.map_batches(explode, batch_format="pyarrow"))
     _, doc_sizes = _pc_ref_remotes()
 
     pair_refs, stats = pair_count_refs(refs, "shingle", "doc_id", P)
@@ -2726,8 +2726,8 @@ def dedup_prefix_filter(
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
-    sets_refs = ds.map_batches(hashed_sets,
-                               batch_format="pyarrow").to_arrow_refs()
+    sets_refs = arrow_refs(ds.map_batches(hashed_sets,
+                               batch_format="pyarrow"))
 
     @ray.remote
     def explode_postings(block: pa.Table) -> pa.Table:

@@ -25,7 +25,7 @@ from ..stages.media import (
     MediaDecoder,
 )
 from ..stages.pool import gather_tables, pool_map
-from ._util import finalize
+from ._util import arrow_refs, finalize
 
 _DECODE_CONCURRENCY = 2
 _MEDIA_BATCH = 256  # large binary payloads => small batches (memory-aware)
@@ -131,7 +131,7 @@ def media_meta(sf_dir: str) -> pa.Table:
     """Decode every payload through the actor-pool decoder and return its
     typed metadata — oracle-checkable because the synthetic headers are
     integer arithmetic on doc_id."""
-    refs = _media_dataset(sf_dir).to_arrow_refs()
+    refs = arrow_refs(_media_dataset(sf_dir))
     t = gather_tables(_pool(MediaDecoder, refs, drop_cols=["payload"]))
     return finalize(t, [("media_id", "ascending")])
 
@@ -169,7 +169,7 @@ def media_features(sf_dir: str) -> pa.Table:
     def post(t):
         return summarize(t) if t is not None and t.num_rows else None
 
-    refs = _media_dataset(sf_dir).to_arrow_refs()
+    refs = arrow_refs(_media_dataset(sf_dir))
     t = gather_tables(
         [post.remote(r) for r in _pool(ByteHistogramFeatures, refs)]
     )
@@ -180,7 +180,7 @@ def media_frames(sf_dir: str, stride: int = 4) -> pa.Table:
     """Frame sampling: one row per sampled video frame (every
     ``stride``-th), one pseudo-frame for non-video — the 1->N explode
     stage, oracle-checkable via integer arithmetic."""
-    refs = _media_dataset(sf_dir).to_arrow_refs()
+    refs = arrow_refs(_media_dataset(sf_dir))
     t = gather_tables(_pool(FrameSampler, refs, stride=stride))
     return finalize(t, [("media_id", "ascending"), ("frame_idx", "ascending")])
 
@@ -195,7 +195,7 @@ def media_resize(sf_dir: str, factor: int = 2) -> pa.Table:
     DuckDB oracle."""
     from ..stages.media import MediaResizer
 
-    refs = _media_dataset(sf_dir).to_arrow_refs()
+    refs = arrow_refs(_media_dataset(sf_dir))
     resized = _pool(MediaResizer, refs, factor=factor)
     t = gather_tables(_pool(MediaDecoder, resized, drop_cols=["payload"]))
     return finalize(t, [("media_id", "ascending")])
@@ -229,7 +229,7 @@ def media_dedup(sf_dir: str) -> pa.Table:
     def denone(t):  # the pool passes None through for empty blocks
         return t if t is not None else combine_media_digests(pa.table({}))
 
-    refs = _media_dataset(sf_dir).to_arrow_refs()
+    refs = arrow_refs(_media_dataset(sf_dir))
     hashed = [denone.remote(r) for r in _pool(MediaContentHasher, refs)]
     out = gather_concat(exchange_reduce([hashed], ["h"], winner_partition))
     if out.num_rows == 0:

@@ -26,7 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._util import ds_to_table, finalize, fold_partials
+from ._util import arrow_refs, ds_to_table, finalize, fold_partials
 
 _US_PER_HOUR = 3_600_000_000
 
@@ -228,11 +228,11 @@ def q3_top_orders(
 
     # segment-filtered customer keys, read distributed (never a driver
     # full-table read); the filter pushes into the scan
-    cust_refs = rd.read_parquet(
+    cust_refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey"],
         filter=pc.equal(pc.field("c_mktsegment"), "BUILDING"),
-    ).to_arrow_refs()
+    ))
 
     # gate cheaply first: the UNFILTERED metadata row count bounds the
     # filtered key count, so small tables skip the extra count wave
@@ -586,13 +586,12 @@ def customers_without_orders(
     rd = _rd()
     # per-block distinct combiner: the exchange/bloom sides ship distinct
     # (block-local) keys, not raw order rows
-    okey_refs = (
+    okey_refs = arrow_refs(
         rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
         .map_batches(
             lambda t: t.group_by(["o_custkey"]).aggregate([]),
             batch_format="pyarrow",
         )
-        .to_arrow_refs()
     )
 
     # gate cheaply first: the orders metadata row count bounds the
@@ -655,7 +654,7 @@ def customers_without_orders(
         m = bloom_contains(words, block.column("c_custkey"), n_bits, k)
         return block.filter(pa.array(~m)), block.filter(pa.array(m))
 
-    pairs = [bloom_split.remote(r, words_ref) for r in cust_ds.to_arrow_refs()]
+    pairs = [bloom_split.remote(r, words_ref) for r in arrow_refs(cust_ds)]
     miss_refs = [p[0] for p in pairs]  # definitively orderless
     hit_refs = [p[1] for p in pairs]  # candidates -> exact confirm
     anti_refs = exchange_reduce(
@@ -1501,7 +1500,7 @@ def _encoded_event_refs(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"],
     )
-    base_refs = ds.to_arrow_refs()
+    base_refs = arrow_refs(ds)
 
     @ray.remote
     def types_of(t: pa.Table) -> pa.Table:
@@ -2298,7 +2297,7 @@ def bloom_semi_join(sf_dir: str, min_purchases: int = _BSJ_MIN_PURCHASES,
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"])
-    base_refs = ds.to_arrow_refs()
+    base_refs = arrow_refs(ds)
 
     empty = pa.table({"user_id": pa.array([], pa.int64()),
                       "n_events": pa.array([], pa.int64())})
@@ -3501,7 +3500,7 @@ def q17_small_quantity(
         f"{sf_dir}/part.parquet", columns=["p_partkey"],
         filter=(pc.field("p_brand") == brand) & (pc.field("p_type") == ptype),
     )
-    part_refs = part_ds.to_arrow_refs()
+    part_refs = arrow_refs(part_ds)
     n_cand = sum(ray.get([_nrows_remote().remote(r) for r in part_refs]))
     empty = pa.table({"avg_yearly": pa.array([], pa.float64()),
                       "n_items": pa.array([], pa.int64())})
@@ -5993,12 +5992,12 @@ def ref_integrity_audit(sf_dir: str) -> pa.Table:
     from .exchange import exchange_reduce
 
     rd = _rd()
-    lo = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey"]).to_arrow_refs()
-    oo = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_orderkey", "o_custkey"]).to_arrow_refs()
-    cc = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey"]).to_arrow_refs()
+    lo = arrow_refs(rd.read_parquet(f"{sf_dir}/lineitem.parquet",
+                         columns=["l_orderkey"]))
+    oo = arrow_refs(rd.read_parquet(f"{sf_dir}/orders.parquet",
+                         columns=["o_orderkey", "o_custkey"]))
+    cc = arrow_refs(rd.read_parquet(f"{sf_dir}/customer.parquet",
+                         columns=["c_custkey"]))
 
     def order_kernel(pid: int, li: pa.Table, od: pa.Table) -> pa.Table:
         lk = (li.column("l_orderkey").to_numpy()
@@ -6049,10 +6048,10 @@ def order_size_hist(sf_dir: str) -> pa.Table:
     from .exchange import exchange_reduce, gather_concat
 
     rd = _rd()
-    lo = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey"]).to_arrow_refs()
-    oo = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_orderkey"]).to_arrow_refs()
+    lo = arrow_refs(rd.read_parquet(f"{sf_dir}/lineitem.parquet",
+                         columns=["l_orderkey"]))
+    oo = arrow_refs(rd.read_parquet(f"{sf_dir}/orders.parquet",
+                         columns=["o_orderkey"]))
 
     def size_kernel(pid: int, li: pa.Table, od: pa.Table) -> pa.Table:
         empty = pa.table({"n_lines": pa.array([], pa.int64()),
@@ -6236,7 +6235,7 @@ def value_drift_tv(sf_dir: str) -> pa.Table:
 
     base = rd.read_parquet(f"{sf_dir}/events.parquet",
                            columns=["event_type", "ts", "value"])
-    refs = base.to_arrow_refs()
+    refs = arrow_refs(base)
     rngs = [r for r in ray.get([day_range.remote(r) for r in refs]) if r]
     if not rngs:
         return empty

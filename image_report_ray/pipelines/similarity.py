@@ -17,7 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import cache
-from ._util import ds_to_table, finalize, round_col
+from ._util import arrow_refs, ds_to_table, finalize, round_col
 
 
 def _rd():
@@ -120,9 +120,9 @@ def _smallest_vectors(sf_dir: str, n: int) -> pa.Table:
             t = t.take(pa.array(np.argsort(ids, kind="stable")[:n]))
         return t
 
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).to_arrow_refs()
+    ))
     outs = [part_smallest.remote(r) for r in refs]
     while len(outs) > 1:
         outs = [part_smallest.remote(*outs[i : i + 8]) for i in range(0, len(outs), 8)]
@@ -740,7 +740,7 @@ def embedding_near_dup_lsh_refs(
 
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    refs = ds.to_arrow_refs()
+    refs = arrow_refs(ds)
 
     idx_dir = _lsh_index_dir(sf_dir)
     if os.path.isdir(idx_dir):
@@ -904,7 +904,7 @@ def _embedding_near_dup_refs_build(
         )
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return ds.map_batches(block_pairs, batch_format="pyarrow").to_arrow_refs()
+    return arrow_refs(ds.map_batches(block_pairs, batch_format="pyarrow"))
 
 
 def embedding_near_dups(
@@ -1246,9 +1246,9 @@ def _kmeans_assign_refs_build(
     import ray
 
     rd = _rd()
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).to_arrow_refs()
+    ))
     cents = _kmeans_centroids_cached(sf_dir, refs, k, iters)
 
     @ray.remote
@@ -1481,7 +1481,7 @@ def knn_cosine_pq(sf_dir: str, k: int = 10) -> pa.Table:
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding"])
-    base_refs = ds.to_arrow_refs()
+    base_refs = arrow_refs(ds)
 
     @ray.remote
     def block_shortlist(t: pa.Table) -> pa.Table:
@@ -1536,7 +1536,7 @@ def knn_cosine_pq(sf_dir: str, k: int = 10) -> pa.Table:
 
     if codes_dir is not None:
         short_refs = [code_shortlist.remote(r) for r in
-                      rd.read_parquet(codes_dir).to_arrow_refs()]
+                      arrow_refs(rd.read_parquet(codes_dir))]
     else:
         short_refs = [block_shortlist.remote(r) for r in base_refs]
     parts = [t for t in ray.get(short_refs) if t.num_rows]
@@ -1596,9 +1596,9 @@ def embedding_outliers(sf_dir: str, topn: int = _OUT_TOPN) -> pa.Table:
     import ray
 
     rd = _rd()
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).to_arrow_refs()
+    ))
     empty = pa.table({"cluster_id": pa.array([], pa.int64()),
                       "vec_id": pa.array([], pa.int64()),
                       "rank": pa.array([], pa.int64())})
@@ -1669,9 +1669,9 @@ def cluster_separation(sf_dir: str) -> pa.Table:
     rd = _rd()
 
     def refs_thunk():  # corpus read only on a centroid-cache MISS
-        return rd.read_parquet(
+        return arrow_refs(rd.read_parquet(
             f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-        ).to_arrow_refs()
+        ))
 
     empty = pa.table({"cid_a": pa.array([], pa.int64()),
                       "cid_b": pa.array([], pa.int64()),
@@ -1889,9 +1889,9 @@ def kcenter_sample(sf_dir: str, k: int = _KC_K) -> pa.Table:
     empty = pa.table({"step": pa.array([], pa.int64()),
                       "vec_id": pa.array([], pa.int64()),
                       "d2": pa.array([], pa.float64())})
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).to_arrow_refs()
+    ))
 
     @ray.remote
     def champion(cents: np.ndarray, chosen_ids: list, t: pa.Table):
@@ -2009,9 +2009,9 @@ def mmr_diversified_search(
         m = np.vstack([p[2] for p in live])
         return cut(ids, rel, m)
 
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).to_arrow_refs()
+    ))
     outs = [block_pool.remote(r) for r in refs]
     while len(outs) > 1:
         outs = [fold.remote(*outs[i : i + 8]) for i in range(0, len(outs), 8)]
@@ -2061,9 +2061,9 @@ def label_purity(sf_dir: str, k: int = _KM_K, iters: int = _KM_ITERS) -> pa.Tabl
 
     rd = _rd()
     refs = kmeans_assign_refs(sf_dir, k, iters)
-    lab_refs = rd.read_parquet(
+    lab_refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"]
-    ).to_arrow_refs()
+    ))
 
     def contingency(pid: int, asn: pa.Table, lab: pa.Table) -> pa.Table | None:
         if asn.num_rows == 0 or lab.num_rows == 0:
@@ -2149,9 +2149,9 @@ def knn_label_match(sf_dir: str, n_probes: int = _LM_PROBES) -> pa.Table:
             "label": t.column("label").filter(pa.array(m)).cast(pa.int64()),
         })
 
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"]
-    ).to_arrow_refs()
+    ))
     lt = pa.concat_tables(
         [t for t in ray.get([pick.remote(r) for r in refs]) if t.num_rows],
         promote_options="default",
@@ -2219,9 +2219,9 @@ def embedding_pca(sf_dir: str, iters: int = _PCA_ITERS) -> pa.Table:
         return (sum(p[0] for p in live), sum(p[1] for p in live),
                 sum(p[2] for p in live))
 
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["embedding"]
-    ).to_arrow_refs()
+    ))
     outs = [moments.remote(r) for r in refs]
     while len(outs) > 1:
         outs = [fold.remote(*outs[i : i + 8]) for i in range(0, len(outs), 8)]

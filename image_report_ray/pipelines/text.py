@@ -15,7 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import cache
-from ._util import ds_to_table, finalize
+from ._util import arrow_refs, ds_to_table, finalize
 
 _TOKEN_SPLIT = r"\s+"
 _PUNCT = r"[.,!?;:]"
@@ -369,7 +369,7 @@ def quality_rank(sf_dir: str, P: int = 16) -> pa.Table:
         )
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    refs = [score_block.remote(r) for r in ds.to_arrow_refs()]
+    refs = [score_block.remote(r) for r in arrow_refs(ds)]
     sample = np.concatenate(ray.get([sample_block.remote(r) for r in refs]))
     if not len(sample):
         return pa.table(
@@ -721,9 +721,9 @@ def lang_id(sf_dir: str, top_k: int = 30) -> pa.Table:
 
     # ONE read: the same block refs feed both the fit exchange
     # (_fit_lang_prof_ref) and the predict wave
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    ).to_arrow_refs()
+    ))
     prof_ref = _fit_lang_prof_ref(refs, top_k)
 
     @ray.remote
@@ -767,9 +767,9 @@ def lang_confusion(sf_dir: str, top_k: int = 30) -> pa.Table:
     import ray
 
     rd = _rd()
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    ).to_arrow_refs()
+    ))
     prof_ref = _fit_lang_prof_ref(refs, top_k)
 
     @ray.remote
@@ -1077,7 +1077,7 @@ def shuffle_docs(sf_dir: str, seed: int = 0x5EED, P: int = _SHUF_PARTS) -> pa.Ta
         )
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    refs = ds.map_batches(keyed, batch_format="pyarrow").to_arrow_refs()
+    refs = arrow_refs(ds.map_batches(keyed, batch_format="pyarrow"))
     mats = [split_ranges.options(num_returns=P).remote(r, P) for r in refs]
     counts_sorted = [bucket_sort.remote(*[m[b] for m in mats]) for b in range(P)]
     counts = ray.get([c for c, _ in counts_sorted])
@@ -1110,7 +1110,7 @@ def pack_docs(sf_dir: str, budget: int = 2048) -> pa.Table:
 
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    refs = ds.to_arrow_refs()  # ordered blocks = doc_id order (file order)
+    refs = arrow_refs(ds)  # ordered blocks = doc_id order (file order)
 
     @ray.remote
     def block_tokens(block: pa.Table):
@@ -1354,9 +1354,9 @@ def boilerplate_flags(
     rd = _rd()
     if chunk_tokens < 1:
         raise ValueError(f"chunk_tokens must be >= 1, got {chunk_tokens}")
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).to_arrow_refs()
+    ))
 
     def _chunks(t: pa.Table):
         """(chunk_hash, doc_row_index, n_chunks_per_doc) for one block."""
@@ -1490,9 +1490,9 @@ def perplexity_score(sf_dir: str, vocab_k: int = _PPL_VOCAB_K) -> pa.Table:
     from .exchange import exchange_reduce, gather_concat
 
     rd = _rd()
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).to_arrow_refs()
+    ))
 
     @ray.remote
     def token_partial(t: pa.Table) -> pa.Table:
@@ -1641,9 +1641,9 @@ def domain_cap(
             )
         return topcap_kernel(pa.concat_tables(live, promote_options="default"))
 
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
-    ).to_arrow_refs()
+    ))
     outs = [topcap.remote(r) for r in refs]
     while len(outs) > 1:
         outs = [topcap.remote(*outs[i : i + 8]) for i in range(0, len(outs), 8)]
@@ -1907,9 +1907,9 @@ def corpus_export(
     from .dedup import doc_shingles
     from .exchange import exchange_reduce, gather_concat
 
-    refs = rd.read_parquet(
+    refs = arrow_refs(rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).to_arrow_refs()
+    ))
 
     def _guard(t: pa.Table) -> bool:
         return t.num_rows == 0 or "doc_id" not in t.column_names
@@ -2141,7 +2141,7 @@ def collocations(sf_dir: str, k: int = 20, min_count: int = 5) -> pa.Table:
 
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-    base_refs = ds.to_arrow_refs()
+    base_refs = arrow_refs(ds)
 
     @ray.remote
     def uni_partial(t: pa.Table) -> pa.Table:
@@ -2268,7 +2268,7 @@ def keyword_search(sf_dir: str, n_terms: int = 2) -> pa.Table:
 
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    base_refs = ds.to_arrow_refs()
+    base_refs = arrow_refs(ds)
 
     @ray.remote
     def postings(t: pa.Table) -> pa.Table:
@@ -2460,7 +2460,7 @@ def bm25_search(sf_dir: str, n_terms: int = 2, k: int = _BM25_K) -> pa.Table:
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
-    base_refs = ds.to_arrow_refs()
+    base_refs = arrow_refs(ds)
 
     @ray.remote(num_returns=2)
     def postings_and_size(t: pa.Table):
@@ -2600,7 +2600,7 @@ def heavy_hitters(sf_dir: str, phi_inv: int = _HH_PHI_INV,
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["lang", "text"])
-    base_refs = ds.to_arrow_refs()
+    base_refs = arrow_refs(ds)
 
     empty = pa.table({"lang": pa.array([], pa.string()),
                       "token": pa.array([], pa.string()),
@@ -2834,7 +2834,7 @@ def pareto_docs(sf_dir: str) -> pa.Table:
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
     out = ray.get(global_frontier.remote(
-        *[local_frontier.remote(r) for r in ds.to_arrow_refs()]
+        *[local_frontier.remote(r) for r in arrow_refs(ds)]
     ))
     if out.num_rows == 0:
         return empty
@@ -4086,7 +4086,7 @@ def source_tv_distance(sf_dir: str) -> pa.Table:
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["text", "source"])
     cnt_ds = ds.map_batches(count_partial, batch_format="pyarrow")
-    cnt_refs = cnt_ds.to_arrow_refs()
+    cnt_refs = arrow_refs(cnt_ds)
 
     # per-source token totals: fixed-cardinality fold over the partials
     import ray
@@ -4254,7 +4254,7 @@ def trending_tokens(sf_dir: str) -> pa.Table:
 
     base = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    base_refs = base.to_arrow_refs()
+    base_refs = arrow_refs(base)
     ids = [m for m in ray.get([max_id.remote(r) for r in base_refs])
            if m is not None]
     if not ids:

@@ -73,10 +73,13 @@ def unify_additive(*schemas: pa.Schema) -> pa.Schema:
 
 def conform(table: pa.Table, target: pa.Schema) -> pa.Table:
     """Project ``table`` to ``target``: null-fill missing columns, reorder."""
+    if table.schema.equals(target, check_metadata=True):
+        return table
     n = table.num_rows
+    have = set(table.column_names)
     cols = []
     for f in target:
-        if f.name in table.column_names:
+        if f.name in have:
             col = table.column(f.name)
             if col.type != f.type:
                 col = col.cast(f.type)

@@ -249,7 +249,11 @@ class Lake:
         """pid -> absolute path of the partition's committed materialized
         view file (state/views.py). Partitions whose latest entry carries
         no view (never computed, or dropped by a GC rewrite) are absent —
-        the view there is pending the next epoch commit."""
+        the view there is pending that partition's next compaction: a
+        merge-on-read delta epoch carries the previous entry's views
+        forward, missing ones included, so a view returns only when the
+        partition next compacts (under copy-on-write, its next epoch with
+        events), and never if the partition gets no more events."""
         out: dict[int, str] = {}
         for pid, e in self.current_entries().items():
             rel = (e.get("views") or {}).get(name)

@@ -17,19 +17,22 @@ vectorized: Arrow sort + numpy boundary/reduceat group ops; no Python
 row loops.
 
 One kernel, :func:`_lww`, resolves last-writer-wins for every caller:
-the epoch merge, :func:`fold_state_tables` (merge-on-read, compaction)
-and through it ``read_composition`` and the change feed's folds. It
-stacks its inputs, sorts their key, ``_lsn`` and source projection once
-and takes each key's last row from the stacked table, so the payload
-moves once and lands in key order. The merge derives its whole ledger
-from that one sorted projection, so every count is exact however the
-epoch's events were grouped into map tasks — the map side only
-validates and routes.
+the epoch merge, :func:`fold_state_tables` (merge-on-read) and through
+it ``read_composition`` and the change feed's folds. It stacks its
+inputs, sorts their key, ``_lsn`` and source projection once and takes
+each key's last row from the stacked table, so the payload moves once
+and lands in key order. A compaction merge hands the prior composition
+(base + deltas) to the same sort as the epoch's events, unfolded, so
+every prior row is sorted once per compaction. The merge derives its
+whole ledger and its hot keys from that one sorted projection, so every
+count is exact however the epoch's events were grouped into map tasks —
+the map side only validates and routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -64,14 +67,15 @@ def _np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return col.to_numpy(zero_copy_only=False)
 
 
-def _key_codes(table: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-    """Dense integer codes for conv_id plus turn_idx values."""
+def _key_codes(table: pa.Table) -> tuple[np.ndarray, np.ndarray, pa.Array]:
+    """Dense integer codes for conv_id, turn_idx values, and the codes'
+    dictionary (conv_ids in first-appearance order)."""
     conv = table.column("conv_id")
     if isinstance(conv, pa.ChunkedArray):
         conv = conv.combine_chunks()
-    codes = pc.dictionary_encode(conv).indices.to_numpy(zero_copy_only=False)
+    enc = pc.dictionary_encode(conv)
     turns = _np(table.column("turn_idx"))
-    return codes, turns
+    return enc.indices.to_numpy(zero_copy_only=False), turns, enc.dictionary
 
 
 def _ensure_accounting(changes: pa.Table) -> pa.Table:
@@ -106,7 +110,7 @@ def compact_changes(changes: pa.Table) -> pa.Table:
     # and the final state sort in merge_state_with_changes restores the
     # lexicographic contract). ~40% cheaper than an Arrow multi-key string
     # sort + full-table take: only the winner rows are materialized.
-    codes, turns = _key_codes(changes)
+    codes, turns, _ = _key_codes(changes)
     lsn = _np(changes.column("lsn"))
     order = np.lexsort((lsn, turns, codes))
     c, t_, l = codes[order], turns[order], lsn[order]
@@ -175,9 +179,20 @@ def changes_to_state_rows(changes: pa.Table) -> pa.Table:
     return payload
 
 
+class _Sorted(NamedTuple):
+    """The sorted key projection of one :func:`_lww` call."""
+
+    keys: pa.Table  # key, _lsn and _src columns, in sorted order
+    idx: pa.Array  # each sorted row's position in the stacked input
+    codes: np.ndarray  # conv_id codes, which ascend with conv_id
+    convs: pa.Array  # the codes' dictionary: conv_ids in ascending order
+    new_key: np.ndarray  # True where a key's run starts
+    last: np.ndarray  # positions of each key's winner
+
+
 def _lww(
     tables: "list[pa.Table]", schema: pa.Schema | None = None
-) -> tuple[pa.Table, pa.Table, np.ndarray, np.ndarray]:
+) -> tuple[pa.Table, _Sorted]:
     """The last-writer-wins kernel under every merge and fold.
 
     Conforms the state-layout ``tables`` to ``schema`` (default: their
@@ -186,8 +201,7 @@ def _lww(
     a key's winner is its last sorted row: the greatest ``_lsn``, a tie
     going to the later table and, within one table, to the later row.
     Only the winners of the stacked table are taken, in key order.
-    Returns the winners (no ``_src``), the sorted projection, its
-    key-start mask and the positions of the winners in it."""
+    Returns the winners (no ``_src``) and the sorted projection."""
     target = schema or unify_additive(*[t.schema for t in tables])
     src = np.repeat(
         np.arange(len(tables), dtype=np.int32), [t.num_rows for t in tables]
@@ -201,85 +215,107 @@ def _lww(
         sort_keys=[*KEY_ORDER, (LSN_COL, "ascending"), (SRC_COL, "ascending")],
     )
     keys = keys.take(idx)
-    codes, turns = _key_codes(keys)
+    # conv_id is sorted, so first appearance is ascending order and the
+    # dictionary lists conv_ids ascending
+    codes, turns, convs = _key_codes(keys)
     n = keys.num_rows
     new_key = np.ones(n, dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=new_key[1:])
     np.logical_or(new_key[1:], turns[1:] != turns[:-1], out=new_key[1:])
     last = np.flatnonzero(np.append(new_key[1:], True))
-    return stacked.take(idx.take(pa.array(last))), keys, new_key, last
+    winners = stacked.take(idx.take(pa.array(last)))
+    return winners, _Sorted(keys, idx, codes, convs, new_key, last)
+
+
+def _hot_keys(
+    order: _Sorted, epoch: np.ndarray, weights: np.ndarray | None, k: int
+) -> list[tuple[str, int]]:
+    """Top-``k`` conversations by epoch event count (``weights`` per
+    epoch input row, else one each), ties broken by conv_id descending
+    (heapq.nlargest order) — the lineage analogue of the reference's
+    top-3 ranked candidates. ``epoch`` masks the sorted rows that came
+    from the epoch's events."""
+    codes = order.codes[epoch]
+    m = len(order.convs)
+    n = np.bincount(codes, minlength=m)
+    cand = np.flatnonzero(n)
+    if weights is not None:
+        rows = _np(order.idx)[epoch]
+        n = np.bincount(codes, weights=weights[rows], minlength=m).round()
+    # ascending (count, code), reversed: count and then conv_id descending
+    top = cand[np.lexsort((cand, n[cand]))[::-1][:k]]
+    return list(zip(order.convs.take(pa.array(top)).to_pylist(),
+                    (int(x) for x in n[top])))
 
 
 def merge_state_with_changes(
-    state: pa.Table | None,
+    state: "pa.Table | list[pa.Table] | None",
     changes: pa.Table,
     *,
     prior_last_lsn: int = -1,
     track_hot_keys: int = 0,
 ) -> tuple[pa.Table, MergeStats]:
     """Apply a raw (or :func:`compact_changes`) change batch to a
-    partition's state table.
+    partition's state.
 
-    ``state`` layout: payload columns + ``_lsn`` + ``_deleted`` (tombstones
-    retained — late or duplicate deliveries for a deleted key must not
-    resurrect it). One :func:`_lww` sort of ``[incoming, state]`` decides
-    the state and the ledger: an event whose key and ``lsn`` repeat an
+    ``state`` is one state table or a partition's composition (base
+    first, then deltas), unfolded: state layout, payload columns +
+    ``_lsn`` + ``_deleted`` (tombstones retained — late or duplicate
+    deliveries for a deleted key must not resurrect it). One
+    :func:`_lww` sort of ``[incoming, *state]`` decides the state, the
+    ledger and the hot keys: an event whose key and ``lsn`` repeat an
     earlier event of the batch is a duplicate; a tie on ``lsn`` with
-    existing state resolves to state (the event is stale); among equal
-    duplicates the last copy wins. Schemas may differ additively
-    (evolution: null-fill via unify, state's columns first)."""
+    existing state resolves to state (the event is stale), and among
+    state tables to the later one, as :func:`fold_state_tables` does;
+    among equal duplicates the last copy wins. Zero-row state tables are
+    dropped first, as the fold drops them. Schemas may differ
+    additively (evolution: null-fill via unify, state's columns first).
+    Hot keys count the batch's events per conversation over the same
+    sorted conv_id codes (:func:`_hot_keys`)."""
     stats = MergeStats(last_lsn=prior_last_lsn)
     if SEEN_I in changes.column_names:  # compact_changes output
-        counts = [changes.column(c) for c in (SEEN_I, SEEN_U, SEEN_D)]
+        counts = [_np(changes.column(c)) for c in (SEEN_I, SEEN_U, SEEN_D)]
         dups = int(pc.sum(changes.column(DUPS)).as_py() or 0)
         changes = changes.drop_columns(list(ACCT_COLS))
+        received = [int(c.sum()) for c in counts]
+        weights = sum(counts)
     else:
-        op = changes.column("op")
-        counts = [pc.cast(pc.equal(op, code), pa.int64()) for code in "IUD"]
+        vc = pc.value_counts(changes.column("op"))
+        ops = dict(zip(vc.field("values").to_pylist(), vc.field("counts").to_pylist()))
+        received = [ops.get(code, 0) for code in "IUD"]
         dups = 0
-    stats.received_i, stats.received_u, stats.received_d = (
-        int(pc.sum(c).as_py() or 0) for c in counts
-    )
-    stats.received = stats.received_i + stats.received_u + stats.received_d
-
-    if track_hot_keys and changes.num_rows:
-        # Top-k hottest conversations by event count — the lineage
-        # analogue of the reference's top-3 ranked candidates
-        # (/root/reference/ir:86-97). Vectorized: Arrow hash-group-by +
-        # sort, ties broken by conv_id descending (heapq.nlargest order).
-        total = pc.add(pc.add(counts[0], counts[1]), counts[2])
-        agg = pa.table({"conv_id": changes.column("conv_id"), "n": total}).group_by(
-            "conv_id"
-        ).aggregate([("n", "sum")])
-        idx = pc.sort_indices(
-            agg, sort_keys=[("n_sum", "descending"), ("conv_id", "descending")]
-        )[:track_hot_keys]
-        top = agg.take(idx)
-        stats.hot_keys = list(
-            zip(top.column("conv_id").to_pylist(),
-                (int(x) for x in top.column("n_sum").to_pylist()))
-        )
+        weights = None
+    stats.received_i, stats.received_u, stats.received_d = received
+    stats.received = sum(received)
+    if weights is None and stats.received != changes.num_rows:
+        # rows whose op is none of I/U/D are received as nothing
+        is_op = pc.is_in(changes.column("op"), value_set=pa.array(list("IUD")))
+        weights = _np(pc.fill_null(is_op, False)).astype(np.int64)
 
     incoming = changes_to_state_rows(changes)
     if changes.num_rows:
         stats.last_lsn = max(prior_last_lsn, int(pc.max(changes.column("lsn")).as_py()))
 
-    if state is None or state.num_rows == 0:
+    tables = state if isinstance(state, list) else [state]
+    tables = [t for t in tables if t is not None and t.num_rows]
+    if not tables:
         if incoming.num_rows == 0:
             stats.check()
             return incoming, stats
-        new_state, keys, new_key, last = _lww([incoming], incoming.schema)
+        schema = incoming.schema
     else:
-        new_state, keys, new_key, last = _lww(
-            [incoming, state], unify_additive(state.schema, incoming.schema)
-        )
+        schema = unify_additive(*[t.schema for t in tables], incoming.schema)
+    new_state, order = _lww([incoming, *tables], schema)
 
-    src = _np(keys.column(SRC_COL))
-    lsn = _np(keys.column(LSN_COL))
-    incoming_dup = (~new_key[1:]) & (lsn[1:] == lsn[:-1]) & (src[1:] == 0)
+    src = _np(order.keys.column(SRC_COL))
+    lsn = _np(order.keys.column(LSN_COL))
+    epoch = src == 0
+    incoming_dup = (~order.new_key[1:]) & (lsn[1:] == lsn[:-1]) & epoch[1:]
     stats.dup_skipped = dups + int(incoming_dup.sum())
-    stats.applied = int((src[last] == 0).sum())
+    stats.applied = int(epoch[order.last].sum())
     stats.stale_skipped = stats.received - stats.dup_skipped - stats.applied
+    if track_hot_keys and changes.num_rows:
+        stats.hot_keys = _hot_keys(order, epoch, weights, track_hot_keys)
 
     stats.keys_total = new_state.num_rows
     stats.tombstoned = int(_np(new_state.column(DELETED_COL)).sum())
@@ -393,15 +429,19 @@ def _poly_rowhash(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
     return _mix64(out ^ (lens * _LEN_MIX))
 
 
+def _offsets(col: pa.Array) -> np.ndarray:
+    """A string/binary array's value offsets (``len + 1`` of them)."""
+    t = col.type
+    large = pa.types.is_large_string(t) or pa.types.is_large_binary(t)
+    return np.frombuffer(col.buffers()[1], np.int64 if large else np.int32)[
+        col.offset : col.offset + len(col) + 1
+    ]
+
+
 def _bytes_column_hash(arr: pa.Array) -> np.ndarray:
     """Row hashes for a string/binary array (slabbed to bound memory)."""
-    off_dtype = np.int64 if pa.types.is_large_string(arr.type) or pa.types.is_large_binary(
-        arr.type
-    ) else np.int32
     n = len(arr)
-    offsets = np.frombuffer(arr.buffers()[1], off_dtype)[
-        arr.offset : arr.offset + n + 1
-    ].astype(np.int64)
+    offsets = _offsets(arr).astype(np.int64)
     buf = arr.buffers()[2]
     data = np.frombuffer(buf, np.uint8) if buf is not None else np.empty(0, np.uint8)
     out = np.empty(n, np.uint64)
@@ -488,47 +528,42 @@ def table_sketch(table: pa.Table, columns: list[str] | None = None) -> str:
 
 def _digest_column(h, col: "pa.ChunkedArray | pa.Array") -> None:
     """Feed one column's canonical value bytes into a hash object:
-    validity mask, then value-semantic bytes (ints/temporals as int64,
-    bools as 0/1, floats as IEEE doubles, strings/binary as
-    lengths + concatenated data) — independent of chunking, slicing,
-    offsets and physical encoding."""
+    validity mask, then value-semantic bytes with nulls as zero values
+    (ints/temporals as int64, bools as 0/1, floats as IEEE doubles,
+    strings/binary as lengths + concatenated data, a null as empty) —
+    independent of chunking, slicing, offsets and physical encoding."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     t = col.type
     if pa.types.is_dictionary(t):
         col = col.cast(t.value_type)
         t = col.type
-    h.update(pc.is_null(col).to_numpy(zero_copy_only=False).tobytes())
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        col = pc.fill_null(col, "")
-        off_dtype = np.int64 if pa.types.is_large_string(t) else np.int32
-        offs = np.frombuffer(col.buffers()[1], off_dtype)[
-            col.offset : col.offset + len(col) + 1
-        ]
-        h.update(np.diff(offs).astype(np.int64).tobytes())
-        h.update(memoryview(col.buffers()[2])[int(offs[0]) : int(offs[-1])])
-    elif pa.types.is_binary(t) or pa.types.is_large_binary(t):
-        col = pc.fill_null(col, b"")
-        off_dtype = np.int64 if pa.types.is_large_binary(t) else np.int32
-        offs = np.frombuffer(col.buffers()[1], off_dtype)[
-            col.offset : col.offset + len(col) + 1
-        ]
-        h.update(np.diff(offs).astype(np.int64).tobytes())
-        h.update(memoryview(col.buffers()[2])[int(offs[0]) : int(offs[-1])])
+    # a null-free column's mask is all zero bytes, and it has nothing to fill
+    nulls = pc.is_null(col).to_numpy(zero_copy_only=False) if col.null_count else None
+    h.update(bytes(len(col)) if nulls is None else nulls.tobytes())
+    if (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        offs = _offsets(col)
+        lens = np.diff(offs)
+        if nulls is not None and lens[nulls].any():
+            # a null slot with bytes behind it: hash the values filled empty
+            text = pa.types.is_string(t) or pa.types.is_large_string(t)
+            col = col.fill_null("" if text else b"")
+            offs = _offsets(col)
+            lens = np.diff(offs)
+        h.update(lens.astype(np.int64).tobytes())
+        if offs[-1] > offs[0]:
+            h.update(memoryview(col.buffers()[2])[int(offs[0]) : int(offs[-1])])
     elif pa.types.is_boolean(t):
-        h.update(
-            col.fill_null(False).cast(pa.uint8()).to_numpy(zero_copy_only=False).tobytes()
-        )
+        col = col.fill_null(False) if nulls is not None else col
+        h.update(col.cast(pa.uint8()).to_numpy(zero_copy_only=False).tobytes())
     elif pa.types.is_floating(t):
-        h.update(
-            col.fill_null(0).cast(pa.float64()).to_numpy(zero_copy_only=False).tobytes()
-        )
+        col = col.fill_null(0) if nulls is not None else col
+        h.update(col.cast(pa.float64()).to_numpy(zero_copy_only=False).tobytes())
     elif pa.types.is_temporal(t) or pa.types.is_integer(t):
+        col = col.fill_null(0) if nulls is not None else col
         h.update(
-            col.fill_null(0)
-            .cast(pa.int64(), safe=False)
-            .to_numpy(zero_copy_only=False)
-            .tobytes()
+            col.cast(pa.int64(), safe=False).to_numpy(zero_copy_only=False).tobytes()
         )
     else:  # unknown logical type: canonical string rendering
         _digest_column(h, col.cast(pa.string()))

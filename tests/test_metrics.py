@@ -53,6 +53,29 @@ def test_turn_profile_counts_live_rows_only():
     assert prof == [2, 1]  # turn 0: a+b live; turn 1: only a (b tombstoned)
 
 
+def test_live_row_metrics_ignore_tombstoned_rows():
+    """Every metric that reads live rows reads the same on the state and
+    on its live rows alone, whichever way the live filter is applied;
+    only the two over all keys (lsn span, live ratio) differ."""
+    import pyarrow.compute as pc
+
+    from image_report_ray.sources.synth import gen_epoch
+    from image_report_ray.state.merge import merge_state_with_changes
+
+    state, _ = merge_state_with_changes(
+        None, gen_epoch(0, 600, seed=3, n_convs=20, max_turns=6)
+    )
+    live = state.filter(pc.invert(state.column("_deleted")))
+    assert 0 < live.num_rows < state.num_rows
+    names = set(METRIC_REGISTRY) - {"lsn_span", "live_ratio"}
+    got, _, failed = compute_metrics(state, names)
+    want, _, _ = compute_metrics(live, names)
+    assert failed == 0
+    assert {n: (r.text, r.attrs) for n, r in got.items()} == {
+        n: (r.text, r.attrs) for n, r in want.items()
+    }
+
+
 def test_role_and_tool_counts():
     res, _, _ = compute_metrics(STATE, {"role_counts", "tool_counts"})
     assert res["role_counts"].text == "assistant:1 tool:1 user:1"
