@@ -588,37 +588,35 @@ def cmd_validate(args: argparse.Namespace) -> int:
             problems.append(f"pid {pid}: {what}")
         elif table_digest(t) != entry["digest"]:
             problems.append(f"pid {pid}: state digest mismatch vs manifest")
-        # materialized views: a view written AT this entry's epoch must
-        # equal its recompute from the committed state (a carried-forward
-        # MOR view is the documented lag, not corruption — skipped)
+        # the entry's own commit staged its file, views and lineage
+        # report under one `<kind>=<num>` directory (an epoch or a
+        # GC/expiry rewrite). Views are staged only with a full state
+        # file, so a view staged there must equal its recompute from `t`
+        # (one carried forward from an older compaction is the
+        # documented MOR lag — skipped)
+        stage = os.path.basename(os.path.dirname(entry["file"]))
         for vname, vrel in (entry.get("views") or {}).items():
-            if f"epoch={entry['epoch']:05d}" not in vrel:
-                continue  # carried forward from an older compaction
-            from .state.manifest import read_composition
-            from .state.views import VIEW_REGISTRY, sort_view
+            if os.path.basename(os.path.dirname(vrel)) != stage:
+                continue
+            from .state.views import VIEW_REGISTRY, maintain_view, sort_view
 
             if vname not in VIEW_REGISTRY:
                 problems.append(f"pid {pid}: unknown view {vname!r} in manifest")
                 continue
-            files = entry.get("files") or [entry["file"]]
-            folded = read_composition(
-                [os.path.join(lake.root, r) for r in files]
-            )
-            expect = sort_view(vname, VIEW_REGISTRY[vname](folded))
             got = pq.ParquetFile(os.path.join(lake.root, vrel)).read()
-            if not expect.equals(sort_view(vname, got)):
+            if not maintain_view(vname, t).equals(sort_view(vname, got)):
                 problems.append(
                     f"pid {pid}: view {vname!r} != recompute from state"
                 )
-        if "gc_seq" not in entry:  # GC rewrites carry no per-epoch lineage
-            lx = lake.lineage_path(entry["epoch"], pid)
-            if os.path.exists(lx):
-                root = read_report(lx)
-                st = root.find("state")
-                if st is not None and st.get("digest") != entry["digest"]:
-                    problems.append(f"pid {pid}: lineage digest != manifest digest")
-            else:
-                problems.append(f"pid {pid}: missing lineage report {lx}")
+        kind, num = stage.split("=")
+        lx = lake.lineage_path(int(num), pid, kind=kind)
+        if os.path.exists(lx):
+            root = read_report(lx)
+            st = root.find("state")
+            if st is not None and st.get("digest") != entry["digest"]:
+                problems.append(f"pid {pid}: lineage digest != manifest digest")
+        else:
+            problems.append(f"pid {pid}: missing lineage report {lx}")
         checked += 1
     print(json.dumps({"partitions_checked": checked, "problems": problems}))
     return 1 if problems else 0

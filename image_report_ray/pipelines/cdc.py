@@ -55,15 +55,18 @@ LWW at read time. An epoch writes only its delta (cost O(delta) — the
 / 12.8M-key replay) until the composition would reach ``compact_every``
 files; then the merge folds it with the epoch into one full state file.
 ``compact_every=1`` (the default, alias ``merge_mode="cow"``) rewrites the
-full state every epoch. GC, expiry, reshard and bootstrap rewrite
-partitions through the same read / stage / commit helpers
-(``state/manifest.py``). ``run_job`` keeps a bounded lookahead of map
-stages in flight so epoch K+1 reads/compacts while epoch K merges — the
-WAL never materializes fully.
+full state every epoch. The merge, GC/expiry rewrites, reshard and
+bootstrap stage partitions through one writer (``stage_partition``:
+state, views, digest, metrics) and commit through one publish
+(:func:`publish_commit`: lineage reports, then the record), so views
+and lineage survive every rewrite. ``run_job`` keeps a bounded
+lookahead of map stages in flight so epoch K+1 reads/compacts while
+epoch K merges — the WAL never materializes fully.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
 import re
@@ -89,6 +92,7 @@ from ..state.manifest import Lake, read_canonical, read_composition, stage_parti
 from ..state.merge import (
     MergeStats,
     _live_payload,
+    _np,
     fold_state_tables,
     merge_state_with_changes,
     sort_canonical,
@@ -98,16 +102,15 @@ from ._util import arrow_refs
 
 _EPOCH_DIR_RE = re.compile(r"^epoch=(\d+)$")
 
-_STATS_FIELDS = (
-    "received", "received_i", "received_u", "received_d",
-    "applied", "stale_skipped", "dup_skipped",
-    "rows_live", "tombstoned", "keys_total", "last_lsn",
-)
-
-# commit-entry fields a merge row carries (besides files and views)
+# the commit-entry and lineage-report fields of a partition writer row
+# (``stage_partition``)
 _ENTRY_FIELDS = (
-    "file", "digest", "rows_live", "tombstoned", "keys_total",
-    "last_lsn", "received", "applied",
+    "file", "files", "views", "digest", "rows_live", "tombstoned",
+    "keys_total", "last_lsn", "received", "applied",
+)
+_REPORT_FIELDS = (
+    "digest", "duration_sec", "metrics", "metrics_computed",
+    "metrics_failed", "metrics_duration_sec",
 )
 
 
@@ -191,16 +194,13 @@ def merge_partition_kernel(
 ) -> dict | None:
     """The reduce side: apply one partition's change slices to its state
     (``prior``: one state table, or a composition to fold in the same
-    sort as the changes — see ``merge_state_with_changes``).
-
-    Writes the new state file under its deterministic staged name and
-    returns a JSON-able row: its commit entry fields (``stage_partition``)
-    plus the merge ledger. Idempotent: a Ray retry overwrites the same
-    path via tmp+rename, and visibility waits for the commit record
-    (two-phase, manifest.py). Selected lineage metrics (the extractor
-    registry, functions/metrics.py) run here over the post-merge state."""
-    from ..functions.metrics import compute_metrics
-
+    sort as the changes — see ``merge_state_with_changes``) and stage
+    the result with the partition writer (``stage_partition``), whose
+    row it returns. A view with a previous file (``prior_views``) is
+    maintained incrementally: only the conversations of this epoch and
+    ``affected_extra`` re-aggregate. Idempotent: a Ray retry overwrites
+    the same staged paths, and visibility waits for the commit record
+    (two-phase, manifest.py)."""
     t0 = time.perf_counter()
     parts = [p for p in parts if p.num_rows]
     if not parts:
@@ -209,54 +209,18 @@ def merge_partition_kernel(
     new_state, stats = merge_state_with_changes(
         prior, changes, prior_last_lsn=prior_lsn, track_hot_keys=track_hot_keys
     )
-    entry = stage_partition(new_state, lake_root, "epoch", epoch, pid)
-
-    # materialized views: computed over the SAME post-merge state, staged
-    # under deterministic names, published by the same commit — never
-    # observable inconsistent with the state (state/views.py). With a
-    # previous view file available, maintenance is INCREMENTAL: only the
-    # conversations touched since that view's snapshot re-aggregate, the
-    # rest carry forward — view cost scales with the delta, not the state.
-    view_files: dict[str, str] = {}
-    if view_names:
-        from ..state.views import maintain_view
-
-        affected = None
-        if prior_views:
-            conv = changes.column("conv_id")
-            if isinstance(conv, pa.ChunkedArray):
-                conv = conv.combine_chunks()
-            aff = conv.to_numpy(zero_copy_only=False).astype(object)
-            if affected_extra is not None and len(affected_extra):
-                aff = np.concatenate([aff, affected_extra.astype(object)])
-            affected = pa.array(np.unique(aff), pa.string())
-        for vname in view_names:
-            pv = (prior_views or {}).get(vname)
-            vt = maintain_view(
-                vname, new_state, pv, affected if pv is not None else None
-            )
-            vrel = os.path.join(
-                "views", vname, f"epoch={epoch:05d}", f"pid={pid:05d}.parquet"
-            )
-            Lake.write_state_file(vt, os.path.join(lake_root, vrel))
-            view_files[vname] = vrel
-
-    m0 = time.perf_counter()
-    results, computed, failed = compute_metrics(new_state, set(metric_names))
-    metrics = {name: (r.text, r.attrs) for name, r in results.items()}
-
-    return {
-        "pid": pid,
-        **entry,
-        "views": view_files,
-        "duration_sec": time.perf_counter() - t0,
-        "metrics": metrics,
-        "metrics_computed": computed,
-        "metrics_failed": failed,
-        "metrics_duration_sec": time.perf_counter() - m0,
-        "hot_keys": stats.hot_keys,
-        **{k: getattr(stats, k) for k in _STATS_FIELDS},
-    }
+    prior_views = prior_views or {}
+    affected = None
+    if prior_views:
+        aff = _np(changes.column("conv_id")).astype(object)
+        if affected_extra is not None and len(affected_extra):
+            aff = np.concatenate([aff, affected_extra.astype(object)])
+        affected = pa.array(np.unique(aff), pa.string())
+    return stage_partition(
+        new_state, lake_root, "epoch", epoch, pid, stats,
+        views={v: prior_views.get(v) for v in view_names}, affected=affected,
+        metric_names=metric_names, t0=t0,
+    )
 
 
 def read_wal_file(path: str) -> pa.Table:
@@ -427,17 +391,14 @@ def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, lake_root,
     """Merge one partition's slices, in map-task order; ``None`` when the
     epoch has no events for it (its committed entry stands, and its prior
     state is not read). With ``prior_paths`` it is a compaction: the
-    prior composition (base + deltas) is read unfolded and the merge
-    sorts it once together with the epoch's events, writing a full state
-    file (+ any registered materialized views — only a compaction has
-    the full state to compute them from). Empty ``prior_paths`` (a fresh partition, or a delta
-    epoch, which gets no views either) writes the epoch's winners alone:
-    a delta epoch costs O(delta) and cross-epoch resolution happens at
-    fold time (Hudi/Iceberg merge-on-read, public design). ``view_rels``
-    maps view name -> the previous committed view file (relative) so
-    maintenance can run incrementally; the conversations in the deltas
-    (``prior_paths[1:]``, changes folded since that view's snapshot)
-    join the affected set."""
+    prior composition (base + deltas) is read unfolded and sorted once
+    with the epoch's events into a full state file and its views, each
+    maintained from its previous file (``view_rels``, relative) over the
+    conversations of the epoch and of the deltas. Empty ``prior_paths``
+    (a fresh partition, or a delta epoch, which gets no views) writes the
+    epoch's winners alone: a delta epoch costs O(delta) and cross-epoch
+    resolution happens at fold time (Hudi/Iceberg merge-on-read, public
+    design)."""
     parts = [p for p in parts if p.num_rows]
     if not parts:
         return None
@@ -450,11 +411,7 @@ def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, lake_root,
             pass  # missing/corrupt previous view -> full recompute
     affected_extra = None
     if prior_views and len(prior) > 1:
-        affected_extra = np.unique(
-            np.concatenate(
-                [t.column("conv_id").to_numpy() for t in prior[1:]]
-            ).astype(object)
-        )
+        affected_extra = np.concatenate([_np(t.column("conv_id")) for t in prior[1:]])
     return merge_partition_kernel(
         pid, parts, prior, prior_lsn, lake_root, epoch, 3,
         metric_names=mnames, view_names=vnames,
@@ -582,51 +539,55 @@ def apply_epoch(
     refs = per_partition(_merge_part, jobs, lake.root, epoch, mnames,
                          exchange=mats)
     rows = [r for r in ray.get(refs) if r is not None]
+    for row in rows:
+        pid = row["pid"]
+        # a compacted entry replaces the composition; a delta appends to
+        # it and carries the last commit's views (the documented view lag)
+        if not compacted[pid]:
+            row["files"] = rel_sets.get(pid, []) + row["files"]
+        row["views"] = row["views"] or (current.get(pid, {}).get("views") or {})
+    return publish_commit(lake, "epoch", epoch, rows, {
+        "num_partitions": lake.num_partitions,
+        "salt_factor": lake.salt_factor,
+        "salted_keys": len(lake.salt_keys),
+    })
 
+
+def _view_names(entries: dict[int, dict]) -> list[str]:
+    """The views any of ``entries`` carries: what a rewrite restages."""
+    return sorted({v for e in entries.values() for v in e.get("views") or {}})
+
+
+def publish_commit(
+    lake: Lake, kind: str, num: int, rows: list[dict], params: dict, *,
+    after_epoch: int | None = None, carry: dict[int, dict] | None = None,
+) -> dict[int, MergeStats]:
+    """THE publish of every partition commit — an epoch merge, a
+    migration, or a GC/expiry rewrite (``kind="gc"``, folding after
+    ``after_epoch``): one lineage report per partition writer row
+    (``params`` plus the row's own ``params``), then the commit record
+    of their entries. ``carry[pid]`` overrides entry fields (a rewrite
+    keeps the superseded entry's event counters; its report counts no
+    events). The record is the commit point, so every report it vouches
+    for is on disk before it. Returns pid -> the reported ledger."""
     entries: dict[int, dict] = {}
-    out_stats: dict[int, MergeStats] = {}
+    out: dict[int, MergeStats] = {}
     for row in rows:
         pid = int(row["pid"])
-        stats = MergeStats(
-            **{k: int(row[k]) for k in _STATS_FIELDS},
-            hot_keys=[tuple(x) for x in row["hot_keys"]],
-        )
-        out_stats[pid] = stats
+        stats = out[pid] = MergeStats(
+            **{f.name: row[f.name] for f in dataclasses.fields(MergeStats)})
         report = build_partition_report(
-            pid=pid,
-            epoch=epoch,
-            stats=stats,
-            digest=row["digest"],
-            duration_sec=float(row["duration_sec"]),
-            metrics=row["metrics"],
-            metrics_computed=int(row["metrics_computed"]),
-            metrics_failed=int(row["metrics_failed"]),
-            metrics_duration_sec=float(row["metrics_duration_sec"]),
-            params={
-                "num_partitions": lake.num_partitions,
-                "salt_factor": lake.salt_factor,
-                "salted_keys": len(lake.salt_keys),
-            },
-        )
-        write_report(report, lake.lineage_path(epoch, pid))
-        entries[pid] = {
-            **{k: row[k] for k in _ENTRY_FIELDS},
-            # composition that folds to current state: a compacted entry
-            # replaces everything; a delta entry appends to the chain
-            "files": (
-                row["files"] if compacted[pid]
-                else rel_sets.get(pid, []) + row["files"]
-            ),
-            # view files written this epoch, else carried from the last
-            # commit (delta epochs — the documented view lag)
-            "views": (
-                row["views"]
-                or (current.get(pid, {}).get("views") or {})
-            ),
-        }
-
-    lake.commit(epoch, entries)
-    return out_stats
+            pid=pid, epoch=num if after_epoch is None else after_epoch,
+            stats=stats, params={**params, **row.get("params", {})},
+            **{k: row[k] for k in _REPORT_FIELDS})
+        write_report(report, lake.lineage_path(num, pid, kind=kind))
+        entries[pid] = {**{k: row[k] for k in _ENTRY_FIELDS},
+                        **(carry or {}).get(pid, {})}
+    if kind == "gc":
+        lake.commit_gc(num, after_epoch, entries)
+    else:
+        lake.commit(num, entries)
+    return out
 
 
 # below-watermark advisories already emitted, keyed by
@@ -774,29 +735,36 @@ def _expired_turns(t: pa.Table, cutoff_us: int) -> pa.ChunkedArray:
     )
 
 
-def _rewrite_part(pid, paths, old_entry, lake_root, seq, drop, arg):
+def _rewrite_part(pid, paths, last_lsn, lake_root, seq, drop, arg, views):
     """The one maintenance task: fold the partition's composition (a
     rewrite implies compaction), drop the rows ``drop(t, arg)`` marks and
-    stage the rest as ``gc=seq``. Returns (commit entry, rows dropped)."""
+    stage the rest as ``gc=seq`` with the partition writer, recomputing
+    ``views`` in full over it. Returns the writer's row, its report
+    params holding the rows dropped."""
+    t0 = time.perf_counter()
     t = read_composition(paths)
+    if t is None:  # an earlier rewrite emptied it: its zero-row file
+        t = pq.ParquetFile(paths[-1]).read()
     kept = t.filter(pc.invert(drop(t, arg)))
-    entry = stage_partition(kept, lake_root, "gc", seq, pid)
-    entry.update({k: old_entry[k] for k in ("last_lsn", "received", "applied")})
-    return entry, t.num_rows - kept.num_rows
+    row = stage_partition(kept, lake_root, "gc", seq, pid,
+                          views=dict.fromkeys(views), t0=t0)
+    row.update(last_lsn=last_lsn,
+               params={"rows_dropped": t.num_rows - kept.num_rows})
+    return row
 
 
 def _maintenance_rewrite(
     lake: Lake, drop, arg, *, commit_noop: bool
 ) -> tuple[int | None, int, int]:
     """Rewrite every partition's current state, one ``_rewrite_part`` per
-    partition (:func:`per_partition`), and publish the result as a
-    ``gc=N`` commit record. It folds after the epochs it compacted and
-    before any later WAL epoch (see ``Lake.current_entries``); a crash
-    before the record lands leaves only invisible staging files. A
-    rewrite that dropped nothing publishes only if ``commit_noop``.
-    Returns ``(gc_seq, partitions, rows dropped)``, ``gc_seq`` None when
-    nothing was committed. The rewritten entries carry no views
-    (recomputed at the next compaction, never served stale)."""
+    partition (:func:`per_partition`), restaging every view the current
+    entries carry, and publish the result (:func:`publish_commit`) as a
+    ``gc=N`` commit with a lineage report per partition. It folds after
+    the epochs it compacted and before any later WAL epoch (see
+    ``Lake.current_entries``); a crash before the record lands leaves
+    only invisible staging files. A rewrite that dropped nothing
+    publishes only if ``commit_noop``. Returns ``(gc_seq, partitions,
+    rows dropped)``, ``gc_seq`` None when nothing was committed."""
     import ray
 
     current = lake.current_entries()
@@ -805,23 +773,27 @@ def _maintenance_rewrite(
     after_epoch = max(e["epoch"] for e in current.values())
     seqs = lake.gc_seqs()
     seq = seqs[-1] + 1 if seqs else 0
-    pids = sorted(current)
     jobs = [
-        (pid, [os.path.join(lake.root, r)
-               for r in (current[pid].get("files") or [current[pid]["file"]])],
-         current[pid])
-        for pid in pids
+        (pid, [os.path.join(lake.root, r) for r in e.get("files") or [e["file"]]],
+         e["last_lsn"])
+        for pid, e in sorted(current.items())
     ]
-    results = ray.get(per_partition(_rewrite_part, jobs, lake.root, seq, drop, arg))
-    dropped = sum(n for _, n in results)
+    rows = ray.get(per_partition(_rewrite_part, jobs, lake.root, seq, drop,
+                                 arg, _view_names(current)))
+    dropped = sum(r["params"]["rows_dropped"] for r in rows)
     if not dropped and not commit_noop:
         # the staged files of this no-op stay invisible, same as any
         # crash-before-commit orphan
         return None, 0, 0
-    lake.commit_gc(
-        seq, after_epoch, {pid: e for pid, (e, _) in zip(pids, results)}
+    publish_commit(
+        lake, "gc", seq, rows,
+        {"num_partitions": lake.num_partitions, "gc_seq": seq,
+         "predicate": drop.__name__.strip("_"), "predicate_arg": arg},
+        after_epoch=after_epoch,
+        carry={pid: {k: e[k] for k in ("received", "applied")}
+               for pid, e in current.items()},
     )
-    return seq, len(pids), dropped
+    return seq, len(rows), dropped
 
 
 def gc_tombstones(lake: Lake, *, before_lsn: int) -> dict:
@@ -948,12 +920,13 @@ def _split_boot(block: pa.Table, P: int):
 
 
 def _write_migrated(pid: int, root: str, epoch: int, last_lsn: int,
-                    unique_keys: bool, slices: list):
-    """The one migration writer: concat a destination partition's slices
-    in source order, sort canonically, stage it and return ``(commit
-    entry, seconds)``; ``None`` for an empty partition (absent from the
-    manifest). ``unique_keys`` (bootstrap, whose source is foreign)
-    rejects duplicate ``(conv_id, turn_idx)`` keys."""
+                    unique_keys: bool, views: list, slices: list):
+    """The one migration task: concat a destination partition's slices
+    in source order, sort canonically and stage it with the partition
+    writer, recomputing ``views`` in full over it; returns the writer's
+    row, ``None`` for an empty partition (absent from the manifest).
+    ``unique_keys`` (bootstrap, whose source is foreign) rejects
+    duplicate ``(conv_id, turn_idx)`` keys."""
     t0 = time.perf_counter()
     parts = [s for s in slices if s.num_rows]
     if not parts:
@@ -971,39 +944,27 @@ def _write_migrated(pid: int, root: str, epoch: int, last_lsn: int,
                 "bootstrap source has duplicate (conv_id, turn_idx) "
                 f"keys, e.g. ({conv[i]!r}, {int(turn[i])})"
             )
-    entry = stage_partition(t, root, "epoch", epoch, pid)
-    entry.update(last_lsn=last_lsn, received=0, applied=0, views={})
-    return entry, time.perf_counter() - t0
+    row = stage_partition(t, root, "epoch", epoch, pid,
+                          views=dict.fromkeys(views), t0=t0)
+    row["last_lsn"] = last_lsn
+    return row
 
 
 def _migrate(dst: Lake, epoch: int, splits: list, last_lsn: int,
-             unique_keys: bool, params: dict) -> int:
+             unique_keys: bool, views: list, params: dict) -> int:
     """Shared tail of the state migrations: one :func:`_write_migrated`
     per destination partition consumes its slices of the split tasks
-    (:func:`per_partition`'s exchange mode); then write each partition's
-    lineage report and publish the commit. Returns total keys written."""
+    (:func:`per_partition`'s exchange mode); then
+    :func:`publish_commit`. Returns total keys written."""
     import ray
 
     jobs = [(pid,) for pid in range(dst.num_partitions)]
-    results = ray.get(per_partition(
-        _write_migrated, jobs, dst.root, epoch, last_lsn, unique_keys,
+    rows = [r for r in ray.get(per_partition(
+        _write_migrated, jobs, dst.root, epoch, last_lsn, unique_keys, views,
         exchange=splits,
-    ))
-    entries: dict[int, dict] = {}
-    for pid, res in enumerate(results):
-        if res is None:
-            continue
-        entry, seconds = res
-        stats = MergeStats(**{k: entry[k] for k in (
-            "rows_live", "tombstoned", "keys_total", "last_lsn")})
-        report = build_partition_report(
-            pid=pid, epoch=epoch, stats=stats, digest=entry["digest"],
-            duration_sec=seconds, params=params,
-        )
-        write_report(report, dst.lineage_path(epoch, pid))
-        entries[pid] = entry
-    dst.commit(epoch, entries)
-    return sum(e["keys_total"] for e in entries.values())
+    )) if r is not None]
+    publish_commit(dst, "epoch", epoch, rows, params)
+    return sum(r["keys_total"] for r in rows)
 
 
 def reshard_lake(src: Lake, dst_root: str, new_partitions: int) -> dict:
@@ -1036,7 +997,7 @@ def reshard_lake(src: Lake, dst_root: str, new_partitions: int) -> dict:
         new_partitions,
     )
     moved = _migrate(
-        dst, epoch, splits, global_lsn, False,
+        dst, epoch, splits, global_lsn, False, _view_names(src_entries),
         {"num_partitions": new_partitions,
          "resharded_from": src.num_partitions},
     )
@@ -1071,7 +1032,7 @@ def bootstrap_lake(
         _split_boot, arrow_refs(rd.read_parquet(src_parquet)), num_partitions
     )
     loaded = _migrate(
-        lake, epoch, splits, -1, True,
+        lake, epoch, splits, -1, True, [],
         {"num_partitions": num_partitions, "bootstrap": True},
     )
     return {"epoch": int(epoch), "rows_loaded": int(loaded)}
@@ -1285,8 +1246,8 @@ def vacuum_lake(lake: Lake, keep_epochs: int = 1) -> dict:
     up to the head (plus the head itself). Everything under ``data/``
     and ``views/`` not referenced by one of those snapshots' entries is
     removed. Time travel below the horizon stops resolving — that is the
-    point. Lineage XML and commit records are audit metadata and are
-    kept. Safe under concurrent readers of retained snapshots (their
+    point. Commit records and lineage XML (of epochs, GC/expiry rewrites
+    and migrations alike) are audit metadata and are kept. Safe under concurrent readers of retained snapshots (their
     files are never candidates); a crash mid-delete just leaves fewer
     bytes to delete next run."""
     import glob

@@ -14,8 +14,13 @@ Layout::
     lake/
       _lake.json                         # immutable lake config (P, salt, versions)
       _commits/epoch=00004.json          # commit record (atomic rename = commit point)
-      data/epoch=00004/pid=00003.parquet # full compacted state of pid 3 as of epoch 4
+      data/epoch=00004/pid=00003.parquet # pid 3's state (or MOR delta) as of epoch 4
+      views/<view>/epoch=00004/pid=00003.parquet  # a view staged with it
       _lineage/epoch=00004/pid=00003.xml # per-partition lineage report
+      ... and the same under gc=00000 for a GC/expiry rewrite
+
+One writer (:func:`stage_partition`) stages every partition's files,
+for epoch merges, GC/expiry rewrites and migrations alike.
 
 The commit record doubles as the checkpoint: per partition it stores
 ``(file, last_lsn, rows_live, tombstoned, keys_total, digest)`` — exactly
@@ -28,14 +33,17 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .. import STATE_FORMAT_VERSION, VERSION
+from ..functions.metrics import compute_metrics
 from ..schema import DELETED_COL, LSN_COL
-from .merge import DIGEST_ALGO, _live_payload, fold_state_tables, table_digest
+from .merge import (
+    DIGEST_ALGO, MergeStats, _live_payload, _np, fold_state_tables, table_digest)
+from .views import maintain_view
 
 _COMMIT_RE = re.compile(r"^epoch=(\d+)\.json$")
 _GC_RE = re.compile(r"^gc=(\d+)\.json$")
@@ -118,8 +126,10 @@ class Lake:
     def commit_path(self, epoch: int) -> str:
         return os.path.join(self.root, "_commits", f"epoch={epoch:05d}.json")
 
-    def lineage_path(self, epoch: int, pid: int) -> str:
-        return os.path.join(self.root, "_lineage", f"epoch={epoch:05d}", f"pid={pid:05d}.xml")
+    def lineage_path(self, num: int, pid: int, *, kind: str = "epoch") -> str:
+        """The lineage report of partition ``pid`` in commit ``kind=num``
+        (an epoch, or ``kind="gc"`` for a GC/expiry rewrite)."""
+        return os.path.join(self.root, "_lineage", f"{kind}={num:05d}", f"pid={pid:05d}.xml")
 
     # ---- commit log --------------------------------------------------
     def committed_epochs(self) -> list[int]:
@@ -247,13 +257,11 @@ class Lake:
 
     def current_view_files(self, name: str) -> dict[int, str]:
         """pid -> absolute path of the partition's committed materialized
-        view file (state/views.py). Partitions whose latest entry carries
-        no view (never computed, or dropped by a GC rewrite) are absent —
-        the view there is pending that partition's next compaction: a
+        view file (state/views.py). A compaction, a GC/expiry rewrite or a
+        migration stages the partition's views with its state; a
         merge-on-read delta epoch carries the previous entry's views
-        forward, missing ones included, so a view returns only when the
-        partition next compacts (under copy-on-write, its next epoch with
-        events), and never if the partition gets no more events."""
+        forward. A partition with no compaction, rewrite or migration
+        since the view was registered carries none and is absent."""
         out: dict[int, str] = {}
         for pid, e in self.current_entries().items():
             rel = (e.get("views") or {}).get(name)
@@ -287,20 +295,45 @@ def read_canonical(paths: list[str]) -> pa.Table | None:
 
 
 def stage_partition(
-    table: pa.Table, root: str, kind: str, num: int, pid: int
+    table: pa.Table, root: str, kind: str, num: int, pid: int,
+    stats: MergeStats | None = None, *,
+    views: "dict[str, pa.Table | None] | None" = None,
+    affected: "pa.Array | None" = None,
+    metric_names: "tuple[str, ...] | None" = None,
+    t0: float | None = None,
 ) -> dict:
-    """Write a partition's rewritten state under its staged name
-    ``data/<kind>=<num>/pid=<pid>.parquet`` and return its commit entry:
-    the file (a one-file composition), row counts and digest. The file
-    stays invisible until a commit record lists it."""
-    rel = os.path.join("data", f"{kind}={num:05d}", f"pid={pid:05d}.parquet")
+    """THE partition writer (epoch merge, GC/expiry rewrite, migration):
+    stage ``table`` as ``data/<kind>=<num>/pid=<pid>.parquet`` and each
+    view in ``views`` as ``views/<name>/<kind>=<num>/pid=<pid>.parquet``,
+    invisible until a commit record lists them. ``views`` maps a name to
+    its previous view file, maintained over the ``affected``
+    conversations, or to ``None`` for a full recompute (state/views.py).
+    Returns the partition's row: commit entry fields, the ledger
+    ``stats`` (a merge's; else only ``table``'s counts), the lineage
+    metrics when ``metric_names`` is given, and the seconds since ``t0``
+    (default: now)."""
+    t0 = time.perf_counter() if t0 is None else t0
+    if stats is None:
+        tomb = int(_np(table.column(DELETED_COL)).sum())
+        stats = MergeStats(rows_live=table.num_rows - tomb, tombstoned=tomb,
+                           keys_total=table.num_rows)
+    stage = f"{kind}={num:05d}"
+    name = f"pid={pid:05d}.parquet"
+    rel = os.path.join("data", stage, name)
     Lake.write_state_file(table, os.path.join(root, rel))
-    tomb = int(pc.sum(pc.cast(table.column(DELETED_COL), pa.int64())).as_py() or 0)
-    return {
-        "file": rel,
-        "files": [rel],
-        "rows_live": table.num_rows - tomb,
-        "tombstoned": tomb,
-        "keys_total": table.num_rows,
-        "digest": table_digest(table),
-    }
+    row = {"pid": pid, "file": rel, "files": [rel], "digest": table_digest(table),
+           "views": {}, **vars(stats)}
+    for vname, prior in (views or {}).items():
+        row["views"][vname] = os.path.join("views", vname, stage, name)
+        Lake.write_state_file(maintain_view(vname, table, prior, affected),
+                              os.path.join(root, row["views"][vname]))
+    m0 = time.perf_counter()
+    if metric_names is None:
+        row.update(metrics=None, metrics_computed=0, metrics_failed=0)
+    else:
+        results, row["metrics_computed"], row["metrics_failed"] = compute_metrics(
+            table, set(metric_names))
+        row["metrics"] = {n: (r.text, r.attrs) for n, r in results.items()}
+    now = time.perf_counter()
+    row.update(metrics_duration_sec=now - m0, duration_sec=now - t0)
+    return row

@@ -14,8 +14,8 @@ views are exact after every commit. Delta epochs skip the view (a delta
 alone cannot produce it); the manifest carries the last written view
 files forward, so a view read between compactions reflects the last
 compaction point — the standard materialized-view lag of merge-on-read
-lakes. A GC rewrite drops view entries (they are recomputed at the next
-compaction).
+lakes. GC/expiry rewrites and migrations recompute every view the lake
+carries over the state they write, in the same partition writer.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 over the post-merge state and published atomically with the commit —
 exact every epoch under COW, exact at compaction points under MOR
 (manifest carries the last view forward between compactions), intact
-under idempotent redelivery, dropped by GC rewrites."""
+under idempotent redelivery, restaged by GC rewrites."""
 
 from __future__ import annotations
 
@@ -102,18 +102,28 @@ def test_view_registry_is_pure_and_validated():
     assert v1.column_names == ["conv_id", "n_turns", "last_ts"]
 
 
-def test_gc_drops_views_until_next_commit(ray_session, tmp_path):
+def test_gc_keeps_views_equal_to_recompute(ray_session, tmp_path):
+    """A GC rewrite restages every view with the state it writes: each
+    partition still resolves its view, equal to a recompute from its
+    committed state, and the next epoch maintains it from there."""
     from image_report_ray.pipelines.cdc import gc_tombstones
+    from image_report_ray.state.manifest import read_composition
+    from image_report_ray.state.views import maintain_view
 
     wal = str(tmp_path / "wal")
     paths = write_wal(wal, n_epochs=2, epoch_size=300, n_parts=1, **GEN)
     lake = Lake(str(tmp_path / "lake"), num_partitions=4)
     cfg = EngineConfig(num_partitions=4, views=("conv_summary",))
     apply_epoch(lake, 0, [paths[0]], cfg)
-    assert lake.current_view_files("conv_summary")
-    gc_tombstones(lake, before_lsn=10)
-    # GC rewrote state without views: entries carry none until re-commit
-    assert not lake.current_view_files("conv_summary")
+    assert gc_tombstones(lake, before_lsn=10)["gc_seq"] == 0
+    views = lake.current_view_files("conv_summary")
+    sets = lake.current_file_sets()
+    assert sorted(views) == sorted(sets)
+    for pid, path in views.items():
+        assert "gc=00000" in path
+        want = maintain_view("conv_summary", read_composition(sets[pid]))
+        assert pq.read_table(path).equals(want), pid
+    assert _read_view(lake).equals(_expected_from_state(lake))
     apply_epoch(lake, 1, [paths[1]], cfg)
     assert _read_view(lake).equals(_expected_from_state(lake))
 
