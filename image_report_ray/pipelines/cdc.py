@@ -84,17 +84,19 @@ from ..schema import (
     LSN_COL,
     PID_COL,
     concat_evolving,
-    conform,
     unify_additive,
 )
 from ..stages.derive import make_add_pid, validate_changes
 from ..state.manifest import Lake, read_canonical, read_composition, stage_partition
 from ..state.merge import (
+    SRC_COL,
     MergeStats,
-    _live_payload,
+    _Sorted,
+    _lww_sort,
     _np,
-    fold_state_tables,
+    fold_canonical,
     merge_state_with_changes,
+    payload_names,
     sort_canonical,
 )
 from ..xmlreport import build_partition_report, write_report
@@ -1060,7 +1062,7 @@ def _same(x0: pa.ChunkedArray, x1: pa.ChunkedArray) -> pa.ChunkedArray:
 def diff_snapshots(
     a: "pa.Table | None", b: "pa.Table | None"
 ) -> pa.Table:
-    """PURE change-feed diff kernel: the row-level net effect between
+    """The reference change-feed kernel: the row-level net effect between
     two canonical snapshot tables (live rows, payload columns, unique
     (conv_id, turn_idx) keys; ``None`` = no rows). ``I`` = key appeared,
     ``D`` = disappeared (null payload), ``U`` = any payload column
@@ -1073,7 +1075,11 @@ def diff_snapshots(
     Arrow only: a hash join of the two sides' key + row-number
     projections, a ``take`` + ``equal`` per payload column over the
     matched rows, then one ``take`` of side 1's payload. Property-tested
-    against a dict-based naive diff."""
+    against a dict-based naive diff. The engine's per-partition feed
+    (:func:`_part_feed`) reaches the same result from one LWW sort of
+    the two compositions and is tested equal to this kernel over their
+    canonical snapshots; this one stays the pure form, for two snapshot
+    tables in hand, and gives the empty feed its schema."""
     a = a if a is not None and a.num_rows else None
     b = b if b is not None and b.num_rows else None
     payload = [] if b is None else [
@@ -1105,70 +1111,108 @@ def diff_snapshots(
     return pa.table(cols)
 
 
-def _canonical(state: "pa.Table | None") -> "pa.Table | None":
-    """A fold's canonical snapshot: it is already in key order."""
-    return None if state is None else _live_payload(state)
+def _side_winners(order: _Sorted, side: np.ndarray) -> np.ndarray:
+    """Per key run of ``order``, the sorted position of the last row
+    from a file of one side (``side[_src]``), -1 where none has one."""
+    src = _np(order.keys.column(SRC_COL))
+    at = np.where(side[src], np.arange(len(src)), -1)
+    return np.maximum.reduceat(at, order.starts) if len(src) else at
 
 
 def _part_feed(paths0: list, paths1: list) -> pa.Table:
     """One partition's feed between two compositions (base first, then
-    deltas), reading each file once.
+    deltas), from one LWW sort that reads each file once.
 
-    When ``paths0`` is a prefix of ``paths1`` the chain only grew by
-    delta files. Committed files are immutable and their names are never
-    reused, so only conversations present in the new files can differ:
-    the prefix is filtered to them before both folds, and the old state
-    folds once and feeds the new one. Every other pair (a compaction,
-    GC, expiry or migration rewrite in the range, or no ``from``
-    snapshot) folds both compositions in full. An ``_lsn`` cut at the
-    ``from`` epoch's high-water mark would not be exact: a late event
-    below it still wins LWW for its key.
+    Files in the compositions' common prefix are shared; the others
+    belong to one side. Committed files are immutable and their names
+    are never reused, so only conversations present in a one-side file
+    can differ, and of the shared files only those conversations' key
+    rows are sorted (after a compaction, GC or migration in the range,
+    or with no ``from`` snapshot, nothing is shared and both sides sort
+    in full). An ``_lsn`` cut at the ``from`` epoch's high-water mark
+    would not be exact: a late event below it still wins LWW for its key.
+
+    ``_src`` orders the files [shared, side 0's own, side 1's own], so
+    each side keeps its composition order, and the last row of a key
+    run from a side's files is that side's own fold winner. Live on one
+    side only feeds ``I`` or ``D``; live on both from different rows is
+    compared with :func:`_same` on those rows; side 1's payload is
+    taken once, for the fed rows, already in key order.
 
     The result equals :func:`diff_snapshots` of the two full canonical
-    snapshots, schema included."""
+    snapshots, schema included: side 1's payload columns, or bare ``D``
+    rows when the full ``to`` snapshot has no live row (decided by the
+    shared files' untouched rows when no sorted key is live in ``to``)."""
     tables = {
         p: pq.ParquetFile(p).read() for p in dict.fromkeys([*paths0, *paths1])
     }
-    t0 = [tables[p] for p in paths0]
-    t1 = [tables[p] for p in paths1]
-    n = len(t0)
-    if not (n and paths1[:n] == paths0):
-        return diff_snapshots(_canonical(fold_state_tables(t0)),
-                              _canonical(fold_state_tables(t1)))
-    touched = pa.chunked_array(
-        [t.column("conv_id") for t in t1[n:]], pa.string()
-    ).unique()
-    hit = [pc.is_in(t.column("conv_id"), value_set=touched) for t in t0]
-    pre = fold_state_tables([t.filter(h) for t, h in zip(t0, hit)])
-    post = _canonical(fold_state_tables([pre, *t1[n:]]))
-    feed = diff_snapshots(_canonical(pre), post)
-    if post is None or not post.num_rows:
-        # the untouched conversations decide whether the full `to`
-        # snapshot is empty, which feeds bare D rows
-        rest = _canonical(fold_state_tables(
-            [t.filter(pc.invert(h)) for t, h in zip(t0, hit)]))
-        if rest is None or not rest.num_rows:
-            return feed
-    # side 1's payload columns as the full `to` snapshot has them
-    full = _live_payload(
-        unify_additive(*[t.schema for t in t1 if t.num_rows]).empty_table())
-    return conform(feed, pa.schema(
-        [feed.schema.field(c) for c in ("op", *KEY_COLUMNS)]
-        + [f for f in full.schema if f.name not in KEY_COLUMNS]))
+    k = 0
+    while k < min(len(paths0), len(paths1)) and paths0[k] == paths1[k]:
+        k += 1
+    own0, own1 = paths0[k:], paths1[k:]
+    stack = [tables[p] for p in (*paths0[:k], *own0, *own1)]
+    side0 = np.repeat([True, True, False], [k, len(own0), len(own1)])
+    side1 = np.repeat([True, False, True], [k, len(own0), len(own1)])
+    keep, hit = None, []
+    if k:
+        touched = pa.chunked_array(
+            [c for p in (*own0, *own1) for c in tables[p].column("conv_id").chunks],
+            pa.string(),
+        ).unique()
+        hit = [_np(pc.is_in(t.column("conv_id"), value_set=touched))
+               for t in stack[:k]]
+        keep = [*hit, *[None] * (len(stack) - k)]
+    order = _lww_sort(stack, keep=keep)
+    pos, dead = order.idx, order.stacked.column(DELETED_COL)
+
+    def live(w: np.ndarray) -> np.ndarray:
+        out = w >= 0
+        out[out] = ~_np(dead.take(pos[w[out]]))
+        return out
+
+    w0, w1 = _side_winners(order, side0), _side_winners(order, side1)
+    live0, live1 = live(w0), live(w1)
+    schemas1 = [t.schema for t, s in zip(stack, side1) if s and t.num_rows]
+    payload = [c for c in payload_names(unify_additive(*schemas1))
+               if c not in KEY_COLUMNS] if schemas1 else []
+    cand = np.flatnonzero(live0 & live1 & (w0 != w1))
+    at0, at1 = pos[w0[cand]], pos[w1[cand]]
+    changed = np.zeros(len(cand), dtype=bool)
+    for c in payload:
+        x = order.stacked.column(c)
+        changed |= ~_np(_same(x.take(at0), x.take(at1)))
+    fed = live0 != live1
+    fed[cand[changed]] = True
+    runs = np.flatnonzero(fed)
+    keys = order.keys.select(KEY_COLUMNS).take(order.starts[runs])
+    cols = {"op": pc.if_else(pa.array(~live1[runs]), "D",
+                             pc.if_else(pa.array(~live0[runs]), "I", "U"))}
+    cols.update(zip(KEY_COLUMNS, keys.cast(_FEED_KEYS).columns))
+    if payload and not live1.any():
+        # no sorted key is live in `to`: the untouched keys decide
+        # whether the full snapshot is empty, which feeds bare D rows
+        rest = fold_canonical([
+            t.select([*KEY_COLUMNS, LSN_COL, DELETED_COL]).filter(pa.array(~h))
+            for t, h in zip(stack[:k], hit)])
+        payload = payload if rest is not None and rest.num_rows else []
+    if payload:  # D rows take a null index: null payload
+        i1 = pa.array(pos[w1[runs]], mask=~live1[runs])
+        cols.update(zip(payload, order.stacked.select(payload).take(i1).columns))
+    return pa.table(cols)
 
 
 def changefeed_range_refs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
     """Per-partition change-feed refs, in pid order, for the NET effect of
     epochs ``(from_epoch, to_epoch]`` — the diff of the two time-travel
     snapshots (the Delta `table_changes(from, to)` analogue). Each
-    partition's feed is one :func:`_part_feed`: when the range only
-    appended delta files to a partition's composition, it folds just the
-    conversations those files touch; otherwise it folds both
-    compositions in full. The partitions run grouped like every
-    partition stage (:func:`per_partition`): ``G = min(n, cluster CPUs)``
-    tasks for the ``n`` partitions, each returning one object per
-    partition — Ray's cost per task exceeds a small partition's fold and
-    diff. A consumer
+    partition's feed is one :func:`_part_feed`, one LWW sort of the two
+    compositions: when the range only appended delta files to a
+    partition's composition, it sorts just the conversations those files
+    touch; otherwise both compositions in full. The partitions run
+    grouped like every partition stage (:func:`per_partition`):
+    ``G = min(n, cluster CPUs)`` tasks for the ``n`` partitions, each
+    returning one object per partition — Ray's cost per task exceeds a
+    small partition's feed. A consumer
     that catches up after missing several epochs reads ONE compacted
     feed instead of replaying each epoch's feed; intermediate churn
     (insert-then-delete, update-then-revert) nets out by construction.
@@ -1220,15 +1264,16 @@ def changefeed(lake: Lake, epoch: int) -> pa.Table:
     effect of ``epoch`` against the previous snapshot. Like Delta's
     change feed it starts from the files the epoch added: under
     merge-on-read an epoch appends one delta file per partition, and
-    only the conversations in it are folded and diffed (a compaction
-    epoch folds both snapshots in full). No extra bookkeeping at write
-    time, and it works retroactively for any committed epoch because
-    data files are immutable. Per key: ``I`` = appeared, ``D`` =
+    only the conversations in it enter the feed's one LWW sort (a
+    compaction epoch sorts both compositions in full). No extra
+    bookkeeping at write time, and it works retroactively for any
+    committed epoch because data files are immutable. Per key: ``I`` = appeared, ``D`` =
     disappeared, ``U`` = any payload column changed; an update that
     rewrote identical values does not feed (net-effect semantics, same
     rule as the compacted exchange). One feed per partition (pid routing
-    is stable across epochs), run in one task per CPU slot, Arrow diff
-    kernel (:func:`diff_snapshots`); sorted (conv_id, turn_idx) output.
+    is stable across epochs), run in one task per CPU slot, each read
+    from one sort (:func:`_part_feed`, equal to the reference kernel
+    :func:`diff_snapshots`); sorted (conv_id, turn_idx) output.
     This is the gather-to-driver convenience form — scale consumers use
     :func:`changefeed_refs` and handle each partition's feed in place.
     Catching up over several epochs at once: :func:`changefeed_range`."""

@@ -42,7 +42,7 @@ from .. import STATE_FORMAT_VERSION, VERSION
 from ..functions.metrics import compute_metrics
 from ..schema import DELETED_COL, LSN_COL
 from .merge import (
-    DIGEST_ALGO, MergeStats, _live_payload, _np, fold_state_tables, table_digest)
+    DIGEST_ALGO, MergeStats, _np, fold_canonical, fold_state_tables, table_digest)
 from .views import maintain_view
 
 _COMMIT_RE = re.compile(r"^epoch=(\d+)\.json$")
@@ -288,10 +288,11 @@ def read_composition(paths: list[str]) -> pa.Table | None:
 
 def read_canonical(paths: list[str]) -> pa.Table | None:
     """The canonical snapshot (live rows, payload columns, sorted) of one
-    composition; ``None`` when it holds no rows. Every state file and
-    every fold is already in key order with unique keys, so no sort."""
-    folded = read_composition(paths)
-    return None if folded is None else _live_payload(folded)
+    composition; ``None`` when it holds no rows. Every state file is in
+    key order with unique keys, so a single file needs no sort, and a
+    chain's one LWW sort takes only its live winners' payload
+    (:func:`fold_canonical`)."""
+    return fold_canonical([pq.ParquetFile(p).read() for p in paths])
 
 
 def stage_partition(

@@ -16,17 +16,22 @@ library-surface discipline, SURVEY.md §3 entry point 3). Kernels are
 vectorized: Arrow sort + numpy boundary/reduceat group ops; no Python
 row loops.
 
-One kernel, :func:`_lww`, resolves last-writer-wins for every caller:
-the epoch merge, :func:`fold_state_tables` (merge-on-read) and through
-it ``read_composition`` and the change feed's folds. It stacks its
-inputs, sorts their key, ``_lsn`` and source projection once and takes
-each key's last row from the stacked table, so the payload moves once
-and lands in key order. A compaction merge hands the prior composition
-(base + deltas) to the same sort as the epoch's events, unfolded, so
-every prior row is sorted once per compaction. The merge derives its
-whole ledger and its hot keys from that one sorted projection, so every
-count is exact however the epoch's events were grouped into map tasks —
-the map side only validates and routes.
+One kernel, :func:`_lww`, resolves last-writer-wins for every caller,
+in two steps. :func:`_lww_sort` stacks its inputs and sorts their key,
+``_lsn`` and source projection once, cutting it into key runs whose
+last row is the key's winner; :func:`_lww` then takes the winners from
+the stacked table, so the payload moves once and lands in key order.
+The epoch merge and :func:`fold_state_tables` (merge-on-read, under
+``read_composition``) run both steps. :func:`fold_canonical` (snapshot
+and as-of reads) drops the tombstoned winners before its one take of
+the payload columns, and the change feed (``pipelines/cdc.py``
+``_part_feed``) runs only the sort: each side's winner is the last row
+of a run from that side's files. A compaction merge hands the prior
+composition (base + deltas) to the same sort as the epoch's events,
+unfolded, so every prior row is sorted once per compaction. The merge
+derives its whole ledger and its hot keys from that one sorted
+projection, so every count is exact however the epoch's events were
+grouped into map tasks — the map side only validates and routes.
 """
 
 from __future__ import annotations
@@ -180,41 +185,55 @@ def changes_to_state_rows(changes: pa.Table) -> pa.Table:
 
 
 class _Sorted(NamedTuple):
-    """The sorted key projection of one :func:`_lww` call."""
+    """One :func:`_lww_sort`: the stacked inputs and the sorted key
+    projection of the rows it sorted, cut into key runs."""
 
+    stacked: pa.Table  # the conformed inputs, stacked in list order
     keys: pa.Table  # key, _lsn and _src columns, in sorted order
-    idx: pa.Array  # each sorted row's position in the stacked input
+    idx: np.ndarray  # each sorted row's position in ``stacked``
     codes: np.ndarray  # conv_id codes, which ascend with conv_id
     convs: pa.Array  # the codes' dictionary: conv_ids in ascending order
     new_key: np.ndarray  # True where a key's run starts
-    last: np.ndarray  # positions of each key's winner
+    starts: np.ndarray  # positions of each key run's first row
+    last: np.ndarray  # positions of each key run's last row: its winner
 
 
-def _lww(
-    tables: "list[pa.Table]", schema: pa.Schema | None = None
-) -> tuple[pa.Table, _Sorted]:
-    """The last-writer-wins kernel under every merge and fold.
+def _lww_sort(
+    tables: "list[pa.Table]",
+    schema: pa.Schema | None = None,
+    keep: "list[np.ndarray | None] | None" = None,
+) -> _Sorted:
+    """The sort half of :func:`_lww`.
 
     Conforms the state-layout ``tables`` to ``schema`` (default: their
     additive union in list order) and stacks them. One stable sort of the
-    key, ``_lsn`` and ``_src`` (list index) projection orders the events;
-    a key's winner is its last sorted row: the greatest ``_lsn``, a tie
-    going to the later table and, within one table, to the later row.
-    Only the winners of the stacked table are taken, in key order.
-    Returns the winners (no ``_src``) and the sorted projection."""
+    key, ``_lsn`` and ``_src`` (list index) projection orders the rows;
+    a key's run ends with its winner: the greatest ``_lsn``, a tie going
+    to the later table and, within one table, to the later row.
+    ``keep`` (one boolean mask or ``None`` per table) sorts only those
+    rows of each table; ``stacked`` keeps every row, unfiltered."""
     target = schema or unify_additive(*[t.schema for t in tables])
-    src = np.repeat(
-        np.arange(len(tables), dtype=np.int32), [t.num_rows for t in tables]
-    )
+    sizes = [t.num_rows for t in tables]
+    src = np.repeat(np.arange(len(tables), dtype=np.int32), sizes)
     stacked = pa.concat_tables([conform(t, target) for t in tables])
     keys = stacked.select([*KEY_COLUMNS, LSN_COL]).append_column(
         SRC_COL, pa.array(src)
     )
-    idx = pc.sort_indices(
+    rows = None
+    if keep is not None:
+        offs = np.cumsum([0, *sizes[:-1]])
+        rows = np.concatenate([
+            np.arange(o, o + n) if m is None else o + np.flatnonzero(m)
+            for o, n, m in zip(offs, sizes, keep)
+        ]).astype(np.int64)
+        keys = keys.take(rows)
+    idx = _np(pc.sort_indices(
         keys,
         sort_keys=[*KEY_ORDER, (LSN_COL, "ascending"), (SRC_COL, "ascending")],
-    )
+    ))
     keys = keys.take(idx)
+    if rows is not None:
+        idx = rows[idx]
     # conv_id is sorted, so first appearance is ascending order and the
     # dictionary lists conv_ids ascending
     codes, turns, convs = _key_codes(keys)
@@ -222,9 +241,20 @@ def _lww(
     new_key = np.ones(n, dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=new_key[1:])
     np.logical_or(new_key[1:], turns[1:] != turns[:-1], out=new_key[1:])
-    last = np.flatnonzero(np.append(new_key[1:], True))
-    winners = stacked.take(idx.take(pa.array(last)))
-    return winners, _Sorted(keys, idx, codes, convs, new_key, last)
+    starts = np.flatnonzero(new_key)
+    last = np.flatnonzero(np.append(new_key[1:], n > 0))
+    return _Sorted(stacked, keys, idx, codes, convs, new_key, starts, last)
+
+
+def _lww(
+    tables: "list[pa.Table]", schema: pa.Schema | None = None
+) -> tuple[pa.Table, _Sorted]:
+    """The last-writer-wins kernel under every merge and fold: one
+    :func:`_lww_sort`, then one take of the winners from the stacked
+    table, in key order. Returns the winners (no ``_src``) and the
+    sort."""
+    order = _lww_sort(tables, schema)
+    return order.stacked.take(order.idx[order.last]), order
 
 
 def _hot_keys(
@@ -240,7 +270,7 @@ def _hot_keys(
     n = np.bincount(codes, minlength=m)
     cand = np.flatnonzero(n)
     if weights is not None:
-        rows = _np(order.idx)[epoch]
+        rows = order.idx[epoch]
         n = np.bincount(codes, weights=weights[rows], minlength=m).round()
     # ascending (count, code), reversed: count and then conv_id descending
     top = cand[np.lexsort((cand, n[cand]))[::-1][:k]]
@@ -340,14 +370,40 @@ def fold_state_tables(tables: "list[pa.Table | None]") -> pa.Table | None:
     return _lww(tables)[0]
 
 
+def payload_names(schema: pa.Schema) -> list[str]:
+    """A state-layout schema's payload columns (keys included), in
+    order: everything but the ``_lsn``/``_deleted`` metadata and
+    merge-internal columns."""
+    return [c for c in schema.names
+            if c not in (LSN_COL, DELETED_COL, SRC_COL, *ACCT_COLS)]
+
+
 def _live_payload(state: pa.Table) -> pa.Table:
     """Live rows, payload columns only, in ``state``'s own row order.
     Applied to a fold or a committed state file, whose rows are already
     unique keys in ``KEY_ORDER``, this is the canonical table without a
     second sort."""
-    live = state.filter(pc.invert(state.column(DELETED_COL)))
-    keep = [c for c in live.column_names if c not in (LSN_COL, DELETED_COL, SRC_COL, *ACCT_COLS)]
-    return live.select(keep)
+    return state.select(payload_names(state.schema)).filter(
+        pc.invert(state.column(DELETED_COL)))
+
+
+def fold_canonical(tables: "list[pa.Table | None]") -> pa.Table | None:
+    """The canonical snapshot of state-layout tables (base + deltas,
+    oldest first): live winners, payload columns only, in key order;
+    ``None`` when they hold no rows. Equal to :func:`_live_payload` of
+    :func:`fold_state_tables`, but the winner positions of the one
+    :func:`_lww_sort` drop their tombstones first, so the payload
+    columns are taken once, live rows only."""
+    tables = [t for t in tables if t is not None and t.num_rows]
+    if not tables:
+        return None
+    if len(tables) == 1:
+        return _live_payload(tables[0])
+    order = _lww_sort(tables)
+    win = order.idx[order.last]
+    dead = _np(order.stacked.column(DELETED_COL).take(win))
+    return order.stacked.select(payload_names(order.stacked.schema)).take(
+        win[~dead])
 
 
 def export_canonical(state: pa.Table) -> pa.Table:

@@ -39,6 +39,7 @@ from image_report_ray.pipelines.cdc import (
 )
 from image_report_ray.schema import CHANGE_SCHEMA
 from image_report_ray.sources.synth import write_wal
+from image_report_ray.state import merge
 from image_report_ray.state.manifest import Lake, read_canonical
 from image_report_ray.state.merge import merge_state_with_changes
 
@@ -226,8 +227,8 @@ def test_part_feed_reads_each_file_once_and_folds_only_touched(
                             read_canonical([base, delta]))
 
     reads: list[str] = []
-    folded: list[int] = []
-    read_table, fold = cdc.pq.read_table, cdc.fold_state_tables
+    sorted_rows: list[int] = []
+    read_table, lww_sort = cdc.pq.read_table, cdc._lww_sort
     parquet_file = cdc.pq.ParquetFile
 
     def counting_read(path, *a, **k):
@@ -238,17 +239,28 @@ def test_part_feed_reads_each_file_once_and_folds_only_touched(
         reads.append(path)
         return parquet_file(path, *a, **k)
 
-    def counting_fold(tables):
-        folded.append(sum(t.num_rows for t in tables if t is not None))
-        return fold(tables)
+    def counting_sort(*a, **k):
+        order = lww_sort(*a, **k)
+        sorted_rows.append(order.keys.num_rows)
+        return order
+
+    def refuse(name):
+        def call(*a, **k):
+            raise AssertionError(f"{name} called")
+        return call
 
     monkeypatch.setattr(cdc.pq, "read_table", counting_read)
     monkeypatch.setattr(cdc.pq, "ParquetFile", counting_open)
-    monkeypatch.setattr(cdc, "fold_state_tables", counting_fold)
+    monkeypatch.setattr(cdc, "_lww_sort", counting_sort)
+    monkeypatch.setattr(cdc, "diff_snapshots", refuse("diff_snapshots"))
+    monkeypatch.setattr(merge, "fold_state_tables", refuse("fold_state_tables"))
+    monkeypatch.setattr(merge, "_lww", refuse("_lww"))
     feed = cdc._part_feed([base], [base, delta])
 
     assert sorted(reads) == sorted([base, delta])
-    assert folded and max(folded) <= prefix_touched + delta_rows < state_rows
+    # one sort, of the prefix's touched rows and the delta only
+    assert len(sorted_rows) == 1
+    assert sorted_rows[0] <= prefix_touched + delta_rows < state_rows
     assert feed.equals(expect)
     assert feed_dict(feed) == {
         ("conv-003", 1): ("U", {"role": "user", "text": "changed",
@@ -287,6 +299,100 @@ def test_part_feed_delete_only_delta_keeps_snapshot_columns(
                                       read_canonical(paths)))
     assert feed.column("op").to_pylist() == ["D"]
     assert ("text" in feed.column_names) is not deletes_all
+
+
+def _state_file(path: str, rows: list[tuple], evolved: bool = False) -> str:
+    """Write the LWW winners of (lsn, op, conv, turn, text) events as a
+    state file; with ``evolved``, live rows also carry a ``meta``
+    column. No rows: a zero-row state file."""
+    schema = CHANGE_SCHEMA.append(pa.field("meta", pa.string())) if evolved \
+        else CHANGE_SCHEMA
+    ev = pa.Table.from_pylist(
+        [{"lsn": lsn, "op": op, "conv_id": conv, "turn_idx": turn,
+          "role": None if op == "D" else "user",
+          "text": None if op == "D" else text, "tool": None, "ts": None,
+          "meta": None if op == "D" else f"m{lsn % 2}"}
+         for lsn, op, conv, turn, text in rows], schema=schema)
+    pq.write_table(merge_state_with_changes(None, ev)[0], path)
+    return path
+
+
+def _assert_part_feed(p0: list, p1: list) -> pa.Table:
+    want = diff_snapshots(read_canonical(p0), read_canonical(p1))
+    got = cdc._part_feed(p0, p1)
+    assert got.schema == want.schema, (p0, p1)
+    assert got.equals(want), (p0, p1)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_part_feed_equals_full_snapshot_diff_randomized(tmp_path, seed):
+    """``_part_feed`` equals ``diff_snapshots`` of the two full canonical
+    snapshots, schema included, over random compositions: every pair of
+    prefixes of a chain (``p0 = []`` and shrinking chains included),
+    disjoint compositions (a compaction or GC rewrite), chains that
+    share a prefix and then diverge, zero-row files, a ``meta`` column
+    only some files evolved, tombstone-only deltas, and ``_lsn`` values
+    drawn from a small range, so that late events and equal-``_lsn``
+    ties across files (with differing payload) are common."""
+    import random
+
+    rng = random.Random(seed)
+
+    def events(n: int, lo: int, hi: int, ops: str = "IIUUD") -> list:
+        return [(rng.randrange(lo, hi), rng.choice(ops), f"c{rng.randrange(6)}",
+                 rng.randrange(4), rng.choice(["x", "y", None]))
+                for _ in range(n)]
+
+    files = iter(range(100))
+
+    def new(rows: list, evolved: bool = False) -> str:
+        return _state_file(str(tmp_path / f"f{next(files)}.parquet"), rows,
+                           evolved)
+
+    def delta() -> str:
+        kind = rng.choice(["plain", "plain", "evolved", "tombstones", "empty"])
+        if kind == "empty":
+            return new([], evolved=rng.random() < 0.5)
+        ops = "D" if kind == "tombstones" else "IUUD"
+        return new(events(rng.randrange(1, 8), 10, 40, ops),
+                   evolved=kind == "evolved")
+
+    chain = [new(events(30, 0, 30))] + [delta() for _ in range(4)]
+    other = [new(events(25, 0, 40), evolved=rng.random() < 0.5), delta()]
+    pairs = [(chain[:i], chain[:j]) for i in range(len(chain) + 1)
+             for j in range(1, len(chain) + 1)]
+    pairs += [(chain[:i], other) for i in range(len(chain) + 1)]
+    pairs += [(other, chain[:j]) for j in range(1, len(chain) + 1)]
+    pairs += [(chain[:2] + [delta()], chain[:2] + [delta(), delta()]),
+              (chain[:3], chain[:1] + chain[2:]), (chain, [])]
+    for p0, p1 in pairs:
+        _assert_part_feed(p0, p1)
+
+
+def test_part_feed_bare_deletes_decided_by_untouched_shared_rows(tmp_path):
+    """A delta deletes the last live rows of the conversations it
+    touches: the feed is bare ``D`` rows exactly when every untouched
+    key of the shared prefix is dead too, counting a live base row that
+    a later shared delta deleted as dead."""
+    def f(name, rows):
+        return _state_file(str(tmp_path / f"{name}.parquet"), rows)
+
+    base = f("base", [(1, "I", "a", 0, "x"), (2, "I", "b", 0, "y"),
+                      (3, "I", "b", 1, "z")])
+    gone_b = f("gone_b", [(5, "D", "b", 0, None), (6, "D", "b", 1, None)])
+    gone_a = f("gone_a", [(9, "D", "a", 0, None)])
+    dead_base = f("dead_base", [(1, "I", "a", 0, "x"), (2, "D", "b", 0, None)])
+    late_b = f("late_b", [(4, "U", "b", 1, "w")])
+    for p0, p1, bare in (
+            ([base, gone_b], [base, gone_b, gone_a], True),
+            ([dead_base], [dead_base, gone_a], True),
+            ([base], [base, gone_a], False),
+            ([base, late_b], [base, late_b, gone_a], False),
+            ([base, gone_b, late_b], [base, gone_b, late_b, gone_a], True)):
+        feed = _assert_part_feed(p0, p1)
+        assert feed.column("op").to_pylist() == ["D"]
+        assert (feed.column_names == ["op", *KEYS]) is bare, (p0, p1)
 
 
 def test_feed_read_path_does_not_import_pandas(tmp_path):

@@ -149,3 +149,31 @@ def test_rewrites_of_an_emptied_partition(ray_session, tmp_path):
     assert "gc=00001" in lake.current_view_files("conv_summary")[0]
     assert view.num_rows == 0
     assert main(["validate", lake.root]) == 0
+
+
+def test_validate_lists_pre_lineage_gc_entries_as_unverified(
+        ray_session, tmp_path, capsys):
+    """GC entries written before GC rewrites wrote lineage reports have
+    no ``views`` key and no reports: ``cli validate`` lists their
+    partitions under ``unverified`` and still exits 0."""
+    wal = str(tmp_path / "wal")
+    paths = write_wal(wal, n_epochs=1, epoch_size=400, n_parts=1, **GEN)
+    lake = Lake(str(tmp_path / "lake"), num_partitions=4)
+    cdc.apply_epoch(lake, 0, paths, EngineConfig(num_partitions=4))
+    seq = cdc.gc_tombstones(lake, before_lsn=10**9)["gc_seq"]
+    with open(lake.gc_path(seq)) as f:
+        rec = json.load(f)
+    assert rec["partitions"]
+    for pid, entry in rec["partitions"].items():
+        del entry["views"]
+        os.remove(lake.lineage_path(seq, int(pid), kind="gc"))
+    with open(lake.gc_path(seq), "w") as f:
+        json.dump(rec, f)
+
+    capsys.readouterr()
+    assert main(["validate", lake.root]) == 0
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["problems"] == []
+    listed = sorted(int(u.split(":")[0].split()[1]) for u in out["unverified"])
+    assert listed == sorted(int(p) for p in rec["partitions"])
+    assert all(f"gc={seq:05d}" in u for u in out["unverified"])
