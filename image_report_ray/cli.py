@@ -149,24 +149,15 @@ def cmd_export(args: argparse.Namespace) -> int:
             return 1
         # export a committed materialized view (state/views.py): the
         # files are already the answer — no aggregation pass
-        import pyarrow as pa
         import pyarrow.parquet as pq
 
-        files = lake.current_view_files(args.view)
-        if not files:
-            print(json.dumps(
-                {"error": f"no committed view {args.view!r} in this lake"}
-            ))
+        from .state.views import read_view
+
+        try:
+            t = read_view(lake, args.view)
+        except KeyError as exc:
+            print(json.dumps({"error": exc.args[0]}))
             return 1
-        tabs = [pq.ParquetFile(p).read() for _, p in sorted(files.items())]
-        nonempty = [x for x in tabs if x.num_rows]
-        # every partition's view can legitimately be empty (e.g. computed
-        # over fully-tombstoned state) — export an empty view, don't crash
-        t = (
-            pa.concat_tables(nonempty, promote_options="default")
-            if nonempty
-            else tabs[0].schema.empty_table()
-        )
         import os as _os
 
         _os.makedirs(args.out_dir, exist_ok=True)

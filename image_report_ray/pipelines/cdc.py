@@ -191,18 +191,15 @@ def merge_partition_kernel(
     track_hot_keys: int,
     metric_names: tuple[str, ...] = ("turn_profile", "lsn_span", "live_ratio"),
     view_names: tuple[str, ...] = (),
-    prior_views: "dict[str, pa.Table] | None" = None,
-    affected_extra: "np.ndarray | None" = None,
 ) -> dict | None:
     """The reduce side: apply one partition's change slices to its state
     (``prior``: one state table, or a composition to fold in the same
     sort as the changes — see ``merge_state_with_changes``) and stage
-    the result with the partition writer (``stage_partition``), whose
-    row it returns. A view with a previous file (``prior_views``) is
-    maintained incrementally: only the conversations of this epoch and
-    ``affected_extra`` re-aggregate. Idempotent: a Ray retry overwrites
-    the same staged paths, and visibility waits for the commit record
-    (two-phase, manifest.py)."""
+    the result with the partition writer (``stage_partition``), which
+    computes each of ``view_names`` in full over it; returns the
+    writer's row. Idempotent: a Ray retry overwrites the same staged
+    paths, and visibility waits for the commit record (two-phase,
+    manifest.py)."""
     t0 = time.perf_counter()
     parts = [p for p in parts if p.num_rows]
     if not parts:
@@ -211,17 +208,9 @@ def merge_partition_kernel(
     new_state, stats = merge_state_with_changes(
         prior, changes, prior_last_lsn=prior_lsn, track_hot_keys=track_hot_keys
     )
-    prior_views = prior_views or {}
-    affected = None
-    if prior_views:
-        aff = _np(changes.column("conv_id")).astype(object)
-        if affected_extra is not None and len(affected_extra):
-            aff = np.concatenate([aff, affected_extra.astype(object)])
-        affected = pa.array(np.unique(aff), pa.string())
     return stage_partition(
         new_state, lake_root, "epoch", epoch, pid, stats,
-        views={v: prior_views.get(v) for v in view_names}, affected=affected,
-        metric_names=metric_names, t0=t0,
+        views=view_names, metric_names=metric_names, t0=t0,
     )
 
 
@@ -388,16 +377,15 @@ def _map_block(block: pa.Table, P: int, salt_keys, salt_factor, cont: bool):
     ), 0
 
 
-def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, lake_root,
-                epoch, mnames, parts):
+def _merge_part(pid, prior_paths, prior_lsn, vnames, lake_root, epoch,
+                mnames, parts):
     """Merge one partition's slices, in map-task order; ``None`` when the
     epoch has no events for it (its committed entry stands, and its prior
     state is not read). With ``prior_paths`` it is a compaction: the
     prior composition (base + deltas) is read unfolded and sorted once
-    with the epoch's events into a full state file and its views, each
-    maintained from its previous file (``view_rels``, relative) over the
-    conversations of the epoch and of the deltas. Empty ``prior_paths``
-    (a fresh partition, or a delta epoch, which gets no views) writes the
+    with the epoch's events into a full state file, and the views
+    ``vnames`` are computed in full over it. Empty ``prior_paths`` (a
+    fresh partition, or a delta epoch, which gets no views) writes the
     epoch's winners alone: a delta epoch costs O(delta) and cross-epoch
     resolution happens at fold time (Hudi/Iceberg merge-on-read, public
     design)."""
@@ -405,19 +393,9 @@ def _merge_part(pid, prior_paths, prior_lsn, vnames, view_rels, lake_root,
     if not parts:
         return None
     prior = [pq.ParquetFile(p).read() for p in prior_paths]
-    prior_views: dict[str, pa.Table] = {}
-    for vname, rel in view_rels.items():
-        try:
-            prior_views[vname] = pq.ParquetFile(os.path.join(lake_root, rel)).read()
-        except (pa.ArrowInvalid, OSError):
-            pass  # missing/corrupt previous view -> full recompute
-    affected_extra = None
-    if prior_views and len(prior) > 1:
-        affected_extra = np.concatenate([_np(t.column("conv_id")) for t in prior[1:]])
     return merge_partition_kernel(
         pid, parts, prior, prior_lsn, lake_root, epoch, 3,
         metric_names=mnames, view_names=vnames,
-        prior_views=prior_views, affected_extra=affected_extra,
     )
 
 
@@ -467,6 +445,16 @@ def submit_map_stage(
     return split_stage(_map_block, arrow_refs(wal), lake.num_partitions, *args)
 
 
+def _reject_salted_views(views, salt_keys) -> None:
+    """Views need an unsalted lake: salting spreads a conversation over
+    partitions, whose view rows would then be partial (state/views.py)."""
+    if views and salt_keys:
+        raise ValueError(
+            f"views {list(views)} need an unsalted lake: salt keys "
+            f"{sorted(salt_keys)} spread a conversation over partitions"
+        )
+
+
 def apply_epoch(
     lake: Lake,
     epoch: int,
@@ -483,10 +471,14 @@ def apply_epoch(
     state — only merges read the prior commit. The group count G is
     read back from the map refs, so merges always match the map tasks
     that fed them; the merges are :func:`per_partition`'s exchange mode,
-    one :func:`_merge_part` per partition, one task per group."""
+    one :func:`_merge_part` per partition, one task per group.
+
+    A salted lake with views (``cfg.views``) raises ``ValueError``
+    before anything is staged (:func:`_reject_salted_views`)."""
     import ray
 
     cfg = cfg or EngineConfig(num_partitions=lake.num_partitions)
+    _reject_salted_views(cfg.views, lake.salt_keys)
     if lake.is_committed(epoch):
         return None
 
@@ -528,16 +520,9 @@ def apply_epoch(
             except (pa.ArrowInvalid, OSError):
                 pass  # unreadable footer: fall back to the length cap
         compacted[pid] = compact
-        if compact:
-            views = tuple(cfg.views)
-            view_rels = {
-                v: rel
-                for v, rel in (current.get(pid, {}).get("views") or {}).items()
-                if v in cfg.views
-            }
-        else:  # a delta: no prior read, no views
-            prior, views, view_rels = [], (), {}
-        jobs.append((pid, prior, lsns.get(pid, -1), views, view_rels))
+        # a delta reads no prior state and writes no views
+        jobs.append((pid, prior if compact else [], lsns.get(pid, -1),
+                     cfg.views if compact else ()))
     refs = per_partition(_merge_part, jobs, lake.root, epoch, mnames,
                          exchange=mats)
     rows = [r for r in ray.get(refs) if r is not None]
@@ -555,9 +540,9 @@ def apply_epoch(
     })
 
 
-def _view_names(entries: dict[int, dict]) -> list[str]:
+def _view_names(entries: dict[int, dict]) -> tuple[str, ...]:
     """The views any of ``entries`` carries: what a rewrite restages."""
-    return sorted({v for e in entries.values() for v in e.get("views") or {}})
+    return tuple(sorted({v for e in entries.values() for v in e.get("views") or {}}))
 
 
 def publish_commit(
@@ -640,12 +625,16 @@ def run_job(
     import ray
 
     cfg = cfg or EngineConfig()
+    if not os.path.exists(os.path.join(lake_dir, "_lake.json")):
+        # before a new lake saves salt keys that would then reject views
+        _reject_salted_views(cfg.views, salt_keys)
     lake = Lake(
         lake_dir,
         num_partitions=cfg.num_partitions,
         salt_keys=salt_keys,
         salt_factor=cfg.salt_factor,
     )
+    _reject_salted_views(cfg.views, lake.salt_keys)
     epochs = discover_epochs(wal_dir)
     # skip everything at or below the newest commit, not just exact
     # members: commits are sequential so the set is a prefix in normal
@@ -749,7 +738,7 @@ def _rewrite_part(pid, paths, last_lsn, lake_root, seq, drop, arg, views):
         t = pq.ParquetFile(paths[-1]).read()
     kept = t.filter(pc.invert(drop(t, arg)))
     row = stage_partition(kept, lake_root, "gc", seq, pid,
-                          views=dict.fromkeys(views), t0=t0)
+                          views=views, t0=t0)
     row.update(last_lsn=last_lsn,
                params={"rows_dropped": t.num_rows - kept.num_rows})
     return row
@@ -922,7 +911,7 @@ def _split_boot(block: pa.Table, P: int):
 
 
 def _write_migrated(pid: int, root: str, epoch: int, last_lsn: int,
-                    unique_keys: bool, views: list, slices: list):
+                    unique_keys: bool, views: tuple, slices: list):
     """The one migration task: concat a destination partition's slices
     in source order, sort canonically and stage it with the partition
     writer, recomputing ``views`` in full over it; returns the writer's
@@ -947,13 +936,13 @@ def _write_migrated(pid: int, root: str, epoch: int, last_lsn: int,
                 f"keys, e.g. ({conv[i]!r}, {int(turn[i])})"
             )
     row = stage_partition(t, root, "epoch", epoch, pid,
-                          views=dict.fromkeys(views), t0=t0)
+                          views=views, t0=t0)
     row["last_lsn"] = last_lsn
     return row
 
 
 def _migrate(dst: Lake, epoch: int, splits: list, last_lsn: int,
-             unique_keys: bool, views: list, params: dict) -> int:
+             unique_keys: bool, views: tuple, params: dict) -> int:
     """Shared tail of the state migrations: one :func:`_write_migrated`
     per destination partition consumes its slices of the split tasks
     (:func:`per_partition`'s exchange mode); then
@@ -1034,7 +1023,7 @@ def bootstrap_lake(
         _split_boot, arrow_refs(rd.read_parquet(src_parquet)), num_partitions
     )
     loaded = _migrate(
-        lake, epoch, splits, -1, True, [],
+        lake, epoch, splits, -1, True, (),
         {"num_partitions": num_partitions, "bootstrap": True},
     )
     return {"epoch": int(epoch), "rows_loaded": int(loaded)}

@@ -27,6 +27,7 @@ from ..pipelines.cdc import (
 )
 from ..sources.wal import changelog_dataset, events_to_changelog, max_event_id
 from ..state.manifest import Lake
+from ..state.views import read_view
 from ._util import arrow_refs, finalize
 
 _P = 8  # partitions for the query-scale lakes
@@ -202,24 +203,13 @@ def cdc_conv_summary_view(sf_dir: str) -> pa.Table:
     committed view files — no post-hoc aggregation pass at all. Shares
     the batch query's SQL oracle: the materialized view must equal the
     recomputed answer."""
-    import pyarrow.parquet as pq
 
     def build(lake: Lake) -> None:
         apply_epoch(lake, 0, changelog_dataset(sf_dir),
                     EngineConfig(num_partitions=_P, views=("conv_summary",)))
 
     lake = _shared_lake(sf_dir, "full-views", build)
-    files = lake.current_view_files("conv_summary")
-    tabs = [pq.ParquetFile(p).read() for _, p in sorted(files.items())]
-    tabs = [t for t in tabs if t.num_rows]
-    if not tabs:
-        return pa.table(
-            {"conv_id": pa.array([], pa.string()),
-             "n_turns": pa.array([], pa.int64()),
-             "last_ts": pa.array([], pa.timestamp("us"))}
-        )
-    t = pa.concat_tables(tabs, promote_options="default")
-    return finalize(t, [("conv_id", "ascending")])
+    return finalize(read_view(lake, "conv_summary"), [("conv_id", "ascending")])
 
 
 def cdc_counts(sf_dir: str, epoch_size: int = 2500) -> pa.Table:

@@ -298,17 +298,16 @@ def read_canonical(paths: list[str]) -> pa.Table | None:
 def stage_partition(
     table: pa.Table, root: str, kind: str, num: int, pid: int,
     stats: MergeStats | None = None, *,
-    views: "dict[str, pa.Table | None] | None" = None,
-    affected: "pa.Array | None" = None,
+    views: "tuple[str, ...]" = (),
     metric_names: "tuple[str, ...] | None" = None,
     t0: float | None = None,
 ) -> dict:
     """THE partition writer (epoch merge, GC/expiry rewrite, migration):
     stage ``table`` as ``data/<kind>=<num>/pid=<pid>.parquet`` and each
     view in ``views`` as ``views/<name>/<kind>=<num>/pid=<pid>.parquet``,
-    invisible until a commit record lists them. ``views`` maps a name to
-    its previous view file, maintained over the ``affected``
-    conversations, or to ``None`` for a full recompute (state/views.py).
+    invisible until a commit record lists them. Each view is computed in
+    full over ``table`` (``maintain_view``, state/views.py), whatever
+    the writer.
     Returns the partition's row: commit entry fields, the ledger
     ``stats`` (a merge's; else only ``table``'s counts), the lineage
     metrics when ``metric_names`` is given, and the seconds since ``t0``
@@ -324,9 +323,9 @@ def stage_partition(
     Lake.write_state_file(table, os.path.join(root, rel))
     row = {"pid": pid, "file": rel, "files": [rel], "digest": table_digest(table),
            "views": {}, **vars(stats)}
-    for vname, prior in (views or {}).items():
+    for vname in views:
         row["views"][vname] = os.path.join("views", vname, stage, name)
-        Lake.write_state_file(maintain_view(vname, table, prior, affected),
+        Lake.write_state_file(maintain_view(vname, table),
                               os.path.join(root, row["views"][vname]))
     m0 = time.perf_counter()
     if metric_names is None:

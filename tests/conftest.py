@@ -40,3 +40,27 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def views_match_state():
+    """``check(root, names)``: every partition of the lake at ``root``
+    carries each view in ``names``, equal to a full recompute from its
+    committed state."""
+    import pyarrow.parquet as pq
+
+    from image_report_ray.state.manifest import Lake, read_composition
+    from image_report_ray.state.views import maintain_view
+
+    def check(root: str, names) -> None:
+        lake = Lake(root)
+        sets = lake.current_file_sets()
+        assert sets, root
+        for name in names:
+            views = lake.current_view_files(name)
+            assert sorted(views) == sorted(sets), (root, name)
+            for pid, path in views.items():
+                want = maintain_view(name, read_composition(sets[pid]))
+                assert pq.read_table(path).equals(want), (root, name, pid)
+
+    return check

@@ -272,6 +272,9 @@ def test_part_feed_reads_each_file_once_and_folds_only_touched(
 
 
 def test_part_feed_untouched_and_full_paths_match_full_diff(tmp_path):
+    """Also an unchanged composition (a partition with no events in the
+    range): its empty feed keeps the reference schema, payload columns
+    (an evolved one included) or bare ``D`` when nothing is live."""
     base, delta = _mor_partition(str(tmp_path))
     for p0, p1 in (([base], [base]), ([base, delta], [base, delta]),
                    ([], [base, delta]), ([delta], [base]),
@@ -279,6 +282,21 @@ def test_part_feed_untouched_and_full_paths_match_full_diff(tmp_path):
         want = diff_snapshots(read_canonical(p0) if p0 else None,
                               read_canonical(p1))
         assert cdc._part_feed(p0, p1).equals(want), (p0, p1)
+
+    def f(name, rows, evolved=False):
+        return _state_file(str(tmp_path / f"{name}.parquet"), rows, evolved)
+
+    evolved = f("evolved", [(5, "I", "c", 0, "w")], evolved=True)
+    dead = f("dead", [(1, "D", "a", 0, None), (2, "D", "b", 0, None)])
+    gone = f("gone", [(6, "D", "conv-000", 0, None)])
+    zero = f("zero", [])
+    for paths, bare in (([base, delta, evolved], False), ([dead], True),
+                        ([dead, gone], True), ([zero, base], False),
+                        ([zero], True)):
+        got = _assert_part_feed(paths, paths)
+        assert got.num_rows == 0, paths
+        assert (got.column_names == ["op", *KEYS]) is bare, paths
+        assert ("meta" in got.column_names) is (evolved in paths), paths
 
 
 @pytest.mark.parametrize("deletes_all", [False, True])

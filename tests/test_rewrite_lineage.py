@@ -19,29 +19,12 @@ from image_report_ray.cli import main
 from image_report_ray.config import EngineConfig
 from image_report_ray.pipelines import cdc
 from image_report_ray.sources.synth import write_wal
-from image_report_ray.state.manifest import Lake, read_composition
-from image_report_ray.state.views import maintain_view
+from image_report_ray.state.manifest import Lake
 from image_report_ray.xmlreport import read_report
 
 VIEWS = ("conv_summary", "role_counts")
 GEN = dict(seed=31, n_convs=40, max_turns=8, dup_rate=0.02,
            op_mix=(0.4, 0.3, 0.3))
-
-
-def _check(*roots: str) -> None:
-    """Every partition of each lake resolves each view, equal to a full
-    recompute from its committed state, and the lake validates."""
-    for root in roots:
-        lake = Lake(root)
-        sets = lake.current_file_sets()
-        assert sets
-        for name in VIEWS:
-            views = lake.current_view_files(name)
-            assert sorted(views) == sorted(sets), (root, name)
-            for pid, path in views.items():
-                want = maintain_view(name, read_composition(sets[pid]))
-                assert pq.read_table(path).equals(want), (root, name, pid)
-        assert main(["validate", root]) == 0, root
 
 
 def _rows_dropped(lake: Lake, seq: int) -> int:
@@ -57,9 +40,18 @@ def _rows_dropped(lake: Lake, seq: int) -> int:
     return total
 
 
-def test_views_and_lineage_survive_every_rewrite(ray_session, tmp_path):
+def test_views_and_lineage_survive_every_rewrite(ray_session, tmp_path,
+                                                 views_match_state):
     """A P=4 merge-on-read lake with two views through expiry, tombstone
     GC, a reshard to P=3 and to P=1, and a vacuum to the head."""
+
+    def _check(*roots: str) -> None:
+        """Every partition of each lake resolves each view, equal to a
+        full recompute from its committed state, and the lake validates."""
+        for root in roots:
+            views_match_state(root, VIEWS)
+            assert main(["validate", root]) == 0, root
+
     wal = str(tmp_path / "wal")
     write_wal(wal, n_epochs=4, epoch_size=800, n_parts=1, **GEN)
     src = str(tmp_path / "lake")

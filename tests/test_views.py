@@ -2,9 +2,13 @@
 over the post-merge state and published atomically with the commit —
 exact every epoch under COW, exact at compaction points under MOR
 (manifest carries the last view forward between compactions), intact
-under idempotent redelivery, restaged by GC rewrites."""
+under idempotent redelivery, restaged by GC rewrites, recomputed in
+full after an epoch without views, rejected on a salted lake, and
+served by one reader (``read_view``)."""
 
 from __future__ import annotations
+
+import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -15,17 +19,13 @@ from image_report_ray.config import EngineConfig
 from image_report_ray.pipelines.cdc import apply_epoch, canonical_state_table
 from image_report_ray.sources.synth import write_wal
 from image_report_ray.state.manifest import Lake
-from image_report_ray.state.views import VIEW_REGISTRY
+from image_report_ray.state.views import VIEW_REGISTRY, read_view, sort_view
 
 GEN = dict(seed=23, n_convs=40, max_turns=8, dup_rate=0.05)
 
 
 def _read_view(lake: Lake, name: str = "conv_summary") -> pa.Table:
-    files = lake.current_view_files(name)
-    tabs = [pq.read_table(p) for _, p in sorted(files.items())]
-    tabs = [t for t in tabs if t.num_rows]
-    t = pa.concat_tables(tabs, promote_options="default")
-    return t.take(pc.sort_indices(t, sort_keys=[("conv_id", "ascending")]))
+    return sort_view(name, read_view(lake, name))
 
 
 def _expected_from_state(lake: Lake) -> pa.Table:
@@ -102,13 +102,12 @@ def test_view_registry_is_pure_and_validated():
     assert v1.column_names == ["conv_id", "n_turns", "last_ts"]
 
 
-def test_gc_keeps_views_equal_to_recompute(ray_session, tmp_path):
+def test_gc_keeps_views_equal_to_recompute(ray_session, tmp_path,
+                                          views_match_state):
     """A GC rewrite restages every view with the state it writes: each
     partition still resolves its view, equal to a recompute from its
     committed state, and the next epoch maintains it from there."""
     from image_report_ray.pipelines.cdc import gc_tombstones
-    from image_report_ray.state.manifest import read_composition
-    from image_report_ray.state.views import maintain_view
 
     wal = str(tmp_path / "wal")
     paths = write_wal(wal, n_epochs=2, epoch_size=300, n_parts=1, **GEN)
@@ -116,13 +115,9 @@ def test_gc_keeps_views_equal_to_recompute(ray_session, tmp_path):
     cfg = EngineConfig(num_partitions=4, views=("conv_summary",))
     apply_epoch(lake, 0, [paths[0]], cfg)
     assert gc_tombstones(lake, before_lsn=10)["gc_seq"] == 0
-    views = lake.current_view_files("conv_summary")
-    sets = lake.current_file_sets()
-    assert sorted(views) == sorted(sets)
-    for pid, path in views.items():
-        assert "gc=00000" in path
-        want = maintain_view("conv_summary", read_composition(sets[pid]))
-        assert pq.read_table(path).equals(want), pid
+    assert all("gc=00000" in path for path in
+               lake.current_view_files("conv_summary").values())
+    views_match_state(lake.root, ["conv_summary"])
     assert _read_view(lake).equals(_expected_from_state(lake))
     apply_epoch(lake, 1, [paths[1]], cfg)
     assert _read_view(lake).equals(_expected_from_state(lake))
@@ -194,8 +189,8 @@ def test_validate_audits_views(ray_session, tmp_path, capsys):
 
 
 def test_incremental_view_equals_full_recompute_bitwise(ray_session, tmp_path):
-    """The incremental maintenance path (prior view + affected convs)
-    writes the SAME bytes a full recompute would — for both registered
+    """Every committed view file holds the SAME bytes a full recompute
+    over the state as of its own epoch gives — for both registered
     views, across COW epochs and an MOR compaction with folded deltas."""
     from image_report_ray.state.views import VIEW_REGISTRY, sort_view
 
@@ -224,3 +219,128 @@ def test_incremental_view_equals_full_recompute_bitwise(ray_session, tmp_path):
                 folded = fold_state_tables([pq.read_table(f) for f in files])
                 full = sort_view(vname, VIEW_REGISTRY[vname](folded))
                 assert got.equals(full), (mode, vname, pid)
+
+
+def _events(rows: list[tuple]) -> pa.Table:
+    """(lsn, op, conv, turn) tuples as a changelog."""
+    from image_report_ray.schema import CHANGE_SCHEMA
+
+    return pa.Table.from_pylist(
+        [{"lsn": lsn, "op": op, "conv_id": conv, "turn_idx": turn,
+          "role": "user", "text": f"t{lsn}", "tool": None, "ts": lsn}
+         for lsn, op, conv, turn in rows], schema=CHANGE_SCHEMA)
+
+
+def test_view_after_an_epoch_without_views_is_a_full_recompute(
+        ray_session, tmp_path, views_match_state):
+    """Views on, off, on: the middle compaction writes no view and the
+    manifest carries the first one forward; the third compaction must
+    not patch that stale view with only the conversations it touches,
+    so its view equals a recompute from state and the lake validates."""
+    from image_report_ray.cli import main
+
+    lake = Lake(str(tmp_path / "lake"), num_partitions=1)
+    on = EngineConfig(num_partitions=1, views=("conv_summary",))
+    off = EngineConfig(num_partitions=1)
+    for epoch, cfg, rows in (
+            (0, on, [(1, "I", "a", 0), (2, "I", "b", 0)]),
+            (1, off, [(3, "I", "a", 1), (4, "I", "a", 2)]),
+            (2, on, [(5, "I", "b", 1)])):
+        wal = str(tmp_path / f"e{epoch}.parquet")
+        pq.write_table(_events(rows), wal)
+        apply_epoch(lake, epoch, [wal], cfg)
+    views_match_state(lake.root, ["conv_summary"])
+    view = {r["conv_id"]: r["n_turns"] for r in _read_view(lake).to_pylist()}
+    assert view == {"a": 3, "b": 2}
+    assert main(["validate", lake.root]) == 0
+
+
+def test_views_on_a_salted_lake_are_rejected(ray_session, tmp_path):
+    """A salted conversation spans partitions, so per-partition view
+    rows would be partials: apply_epoch raises before staging anything,
+    and `cli run --views` on a salted lake fails."""
+    from image_report_ray.cli import main
+
+    (tmp_path / "wal" / "epoch=0").mkdir(parents=True)
+    wal = str(tmp_path / "wal" / "epoch=0" / "e0.parquet")
+    pq.write_table(_events([(i, "I", "hot", i) for i in range(8)]
+                           + [(8, "I", "cold", 0)]), wal)
+    lake = Lake(str(tmp_path / "lake"), num_partitions=4,
+                salt_keys=frozenset({"hot"}))
+    cfg = EngineConfig(num_partitions=4, views=("conv_summary",))
+    with pytest.raises(ValueError, match="unsalted"):
+        apply_epoch(lake, 0, [wal], cfg)
+    assert not lake.committed_epochs()
+    assert not os.listdir(tmp_path / "lake" / "data")
+    assert not (tmp_path / "lake" / "views").exists()
+    # without views the salted lake ingests as before
+    apply_epoch(lake, 0, [wal], EngineConfig(num_partitions=4))
+    assert lake.is_committed(0)
+    with pytest.raises(ValueError, match="unsalted"):
+        main(["run", str(tmp_path / "lake2"), str(tmp_path / "wal"),
+              "--partitions", "4", "--salt-key", "hot",
+              "--views", "conv_summary"])
+    # rejected before the new lake saves its salt keys, so the same
+    # run without --salt-key is not held to them
+    assert not (tmp_path / "lake2" / "_lake.json").exists()
+
+
+def test_read_view_serves_export_and_empty_partitions(ray_session, tmp_path,
+                                                      capsys):
+    """`read_view` concatenates the partitions' view files in pid order
+    (what `cli export --view` writes); when every partition's view is
+    empty it returns a zero-row table with the view's schema; a view no
+    partition carries raises KeyError."""
+    import json
+
+    from image_report_ray.cli import main
+    from image_report_ray.pipelines.cdc import gc_tombstones
+    from image_report_ray.state.views import read_view, sort_view
+
+    wal = str(tmp_path / "wal")
+    write_wal(wal, n_epochs=2, epoch_size=300, n_parts=1, **GEN)
+    lake_dir = str(tmp_path / "lake")
+    assert main(["run", lake_dir, wal, "--partitions", "4",
+                 "--views", "conv_summary,role_counts"]) == 0
+    lake = Lake(lake_dir)
+    for name in ("conv_summary", "role_counts"):
+        got = read_view(lake, name)
+        files = lake.current_view_files(name)
+        want = pa.concat_tables(
+            [pq.read_table(files[pid]) for pid in sorted(files)])
+        assert got.equals(want), name
+        capsys.readouterr()
+        assert main(["export", lake_dir, str(tmp_path / "out"),
+                     "--view", name]) == 0
+        rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert pq.read_table(rec["out_dir"]).equals(got), name
+    assert sort_view("conv_summary", read_view(lake, "conv_summary")).equals(
+        _expected_from_state(lake))
+    with pytest.raises(KeyError):
+        read_view(Lake(lake_dir), "no_such_view")
+
+    # delete every live row, then GC: every partition's view is empty
+    empty = str(tmp_path / "empty")
+    pq.write_table(_events([(1, "I", f"c{i}", 0) for i in range(6)]),
+                   str(tmp_path / "i.parquet"))
+    pq.write_table(_events([(2, "D", f"c{i}", 0) for i in range(6)]),
+                   str(tmp_path / "d.parquet"))
+    lake = Lake(empty, num_partitions=3)
+    cfg = EngineConfig(num_partitions=3, views=("conv_summary", "role_counts"))
+    apply_epoch(lake, 0, [str(tmp_path / "i.parquet")], cfg)
+    apply_epoch(lake, 1, [str(tmp_path / "d.parquet")], cfg)
+    gc_tombstones(lake, before_lsn=10)
+    lake = Lake(empty)
+    for name in ("conv_summary", "role_counts"):
+        assert len(lake.current_view_files(name)) == 3
+        got = read_view(lake, name)
+        assert got.num_rows == 0
+        assert got.schema.equals(
+            pq.read_schema(lake.current_view_files(name)[0]))
+        assert got.schema.names == read_view(Lake(lake_dir), name).schema.names
+        capsys.readouterr()
+        assert main(["export", empty, str(tmp_path / "out2"),
+                     "--view", name]) == 0
+        rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert rec["rows"] == 0
+        assert pq.read_table(rec["out_dir"]).equals(got), name
