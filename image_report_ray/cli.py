@@ -39,8 +39,6 @@ def _init_ray(num_cpus: int | None) -> bool:
     down a caller's session (a pytest fixture's, a notebook's) both
     breaks the caller and destabilizes raylet under repeated
     init/shutdown cycles in one process."""
-    import os
-
     import ray
 
     # see bench.py: numpy's hugepage madvise stalls on THP compaction
@@ -65,6 +63,14 @@ def _shutdown_if(owned: bool) -> None:
         import ray
 
         ray.shutdown()
+
+
+def _fail(owned: bool, error: str) -> int:
+    """A failed command's exit: one JSON ``error`` line, the Ray session
+    torn down if this command created it, exit code 1."""
+    print(json.dumps({"error": error}))
+    _shutdown_if(owned)
+    return 1
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -99,26 +105,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         views=tuple(v for v in (args.views or "").split(",") if v),
     )
     owns = _init_ray(args.num_cpus)
-    from .pipelines.cdc import run_job
+    from .pipelines.cdc import run_job, tail_job
 
-    if getattr(args, "follow", False):
-        from .pipelines.cdc import tail_job
-
-        summary = tail_job(
-            args.lake_dir,
-            args.wal_dir,
-            cfg,
-            salt_keys=frozenset(args.salt_key or []),
-            poll_interval=args.poll_interval,
-            idle_timeout=args.idle_timeout,
-        )
-    else:
-        summary = run_job(
-            args.lake_dir,
-            args.wal_dir,
-            cfg,
-            salt_keys=frozenset(args.salt_key or []),
-        )
+    salt_keys = frozenset(args.salt_key or [])
+    try:
+        if getattr(args, "follow", False):
+            summary = tail_job(
+                args.lake_dir, args.wal_dir, cfg, salt_keys=salt_keys,
+                poll_interval=args.poll_interval,
+                idle_timeout=args.idle_timeout,
+            )
+        else:
+            summary = run_job(args.lake_dir, args.wal_dir, cfg,
+                              salt_keys=salt_keys)
+    except ValueError as exc:  # e.g. a P mismatch, views on a salted lake
+        logging.getLogger("image_report_ray").debug("run failed", exc_info=True)
+        return _fail(owns, str(exc))
     print(json.dumps(summary))
     _shutdown_if(owns)
     # Honest exit-code policy (/root/reference/ir:606-619): even under
@@ -142,11 +144,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         if getattr(args, "as_of", None) is not None:
             # views have no as-of read path; refuse rather than silently
             # serving the head view labeled as a snapshot
-            print(json.dumps(
-                {"error": "--as-of is not supported with --view "
-                          "(views are maintained at the head commit only)"}
-            ))
-            return 1
+            return _fail(owns, "--as-of is not supported with --view "
+                               "(views are maintained at the head commit only)")
         # export a committed materialized view (state/views.py): the
         # files are already the answer — no aggregation pass
         import pyarrow.parquet as pq
@@ -156,12 +155,9 @@ def cmd_export(args: argparse.Namespace) -> int:
         try:
             t = read_view(lake, args.view)
         except KeyError as exc:
-            print(json.dumps({"error": exc.args[0]}))
-            return 1
-        import os as _os
-
-        _os.makedirs(args.out_dir, exist_ok=True)
-        out = _os.path.join(args.out_dir, f"view={args.view}.parquet")
+            return _fail(owns, exc.args[0])
+        os.makedirs(args.out_dir, exist_ok=True)
+        out = os.path.join(args.out_dir, f"view={args.view}.parquet")
         pq.write_table(t, out)
         print(json.dumps({"rows": t.num_rows, "out_dir": out, "view": args.view}))
         _shutdown_if(owns)
@@ -279,11 +275,8 @@ def cmd_changefeed(args: argparse.Namespace) -> int:
             else max(lake.committed_epochs(), default=-1)
         )
         if getattr(args, "from_epoch", None) is not None:
-            print(json.dumps(
-                {"error": "--cursor and --from-epoch are mutually "
-                          "exclusive (the cursor IS the from-epoch)"}
-            ))
-            return 1
+            return _fail(owns, "--cursor and --from-epoch are mutually "
+                               "exclusive (the cursor IS the from-epoch)")
         if head <= cursor_epoch:
             print(json.dumps(
                 {"epoch": head, "from_epoch": cursor_epoch, "rows": 0,
@@ -294,10 +287,7 @@ def cmd_changefeed(args: argparse.Namespace) -> int:
         from_epoch, to_epoch = cursor_epoch, head
     else:
         if getattr(args, "epoch", None) is None:
-            print(json.dumps(
-                {"error": "--epoch is required without --cursor"}
-            ))
-            return 1
+            return _fail(owns, "--epoch is required without --cursor")
         to_epoch = args.epoch
         from_epoch = (
             args.from_epoch if getattr(args, "from_epoch", None) is not None
@@ -401,8 +391,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     chain the newest entry's counters are DELTA-local (the documented
     MOR trade: exact totals need a fold) — ``counters_exact`` says
     whether the counts are authoritative."""
-    import os
-
     from .state.manifest import Lake
 
     lake = Lake(args.lake_dir)
@@ -545,12 +533,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     the v2 validation-checklist graft
     (/root/reference/docs/report-schema-v2.md:352-367).
 
-    A GC entry without a ``views`` key was written before GC rewrites
-    wrote lineage reports: its lineage is listed under ``unverified``
-    (printed only when non-empty), not under ``problems``, and does not
-    fail the audit."""
-    import os
-
+    Listed under ``unverified`` (printed only when non-empty), not under
+    ``problems``, and not failing the audit: the lineage of a GC entry
+    without a ``views`` key (written before GC rewrites wrote lineage
+    reports), and a view carried forward from before the partition's
+    base state file (a compaction run without views)."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
@@ -588,12 +575,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
         # the entry's own commit staged its file, views and lineage
         # report under one `<kind>=<num>` directory (an epoch or a
         # GC/expiry rewrite). Views are staged only with a full state
-        # file, so a view staged there must equal its recompute from `t`
-        # (one carried forward from an older compaction is the
-        # documented MOR lag — skipped)
+        # file, so a view staged there must equal its recompute from `t`.
+        # One carried forward from the base file's stage is the
+        # documented MOR lag (skipped); one older than the base was
+        # carried through a rewrite without views (unverified)
         stage = os.path.basename(os.path.dirname(entry["file"]))
+        base = os.path.basename(os.path.dirname(
+            (entry.get("files") or [entry["file"]])[0]))
         for vname, vrel in (entry.get("views") or {}).items():
-            if os.path.basename(os.path.dirname(vrel)) != stage:
+            vstage = os.path.basename(os.path.dirname(vrel))
+            if vstage != stage:
+                if vstage != base:
+                    unverified.append(f"pid {pid}: view {vname!r} staged at "
+                                      f"{vstage}, before the state base "
+                                      f"{base}; not checked")
                 continue
             from .state.views import VIEW_REGISTRY, maintain_view, sort_view
 

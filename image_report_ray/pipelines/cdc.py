@@ -868,15 +868,13 @@ def canonical_state_dataset(lake: Lake, as_of: int | None = None):
 def canonical_state_table(lake: Lake, as_of: int | None = None) -> pa.Table:
     """Globally sorted canonical table — small-scale testing/export only
     (the oracle-equality comparison surface). ``as_of`` reads the
-    manifest's epoch snapshot (time travel) instead of the head."""
+    manifest's epoch snapshot (time travel) instead of the head. One
+    :func:`read_canonical` of every partition's composition in pid
+    order: one LWW sort, exact because routing sends each key to one
+    partition (salted lakes too), its winners already in key order."""
     sets = lake.current_file_sets(as_of)
-    tables = [
-        t for t in (read_canonical(p) for _, p in sorted(sets.items()))
-        if t is not None
-    ]
-    if not tables:
-        return pa.table({})
-    return sort_canonical(concat_evolving(tables))
+    t = read_canonical([p for _, paths in sorted(sets.items()) for p in paths])
+    return pa.table({}) if t is None else t
 
 
 # ---- state migrations: reshard and bootstrap -------------------------

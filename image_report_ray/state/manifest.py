@@ -287,10 +287,11 @@ def read_composition(paths: list[str]) -> pa.Table | None:
 
 
 def read_canonical(paths: list[str]) -> pa.Table | None:
-    """The canonical snapshot (live rows, payload columns, sorted) of one
-    composition; ``None`` when it holds no rows. Every state file is in
-    key order with unique keys, so a single file needs no sort, and a
-    chain's one LWW sort takes only its live winners' payload
+    """The canonical snapshot (live rows, payload columns, sorted) of
+    one composition, or of every partition's in pid order (no key spans
+    partitions); ``None`` when they hold no rows. Every state file is in
+    key order with unique keys, so a single file needs no sort, and more
+    take one LWW sort that takes only the live winners' payload
     (:func:`fold_canonical`)."""
     return fold_canonical([pq.ParquetFile(p).read() for p in paths])
 

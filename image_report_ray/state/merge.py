@@ -23,15 +23,16 @@ last row is the key's winner; :func:`_lww` then takes the winners from
 the stacked table, so the payload moves once and lands in key order.
 The epoch merge and :func:`fold_state_tables` (merge-on-read, under
 ``read_composition``) run both steps. :func:`fold_canonical` (snapshot
-and as-of reads) drops the tombstoned winners before its one take of
-the payload columns, and the change feed (``pipelines/cdc.py``
-``_part_feed``) runs only the sort: each side's winner is the last row
-of a run from that side's files. A compaction merge hands the prior
-composition (base + deltas) to the same sort as the epoch's events,
-unfolded, so every prior row is sorted once per compaction. The merge
-derives its whole ledger and its hot keys from that one sorted
-projection, so every count is exact however the epoch's events were
-grouped into map tasks — the map side only validates and routes.
+and as-of reads, one call over every partition's composition) drops
+the tombstoned winners before its one take of the payload columns, and
+the change feed (``pipelines/cdc.py`` ``_part_feed``) runs only the
+sort: each side's winner is the last row of a run from that side's
+files. A compaction merge hands the prior composition (base + deltas)
+to the same sort as the epoch's events, unfolded, so every prior row
+is sorted once per compaction. The merge derives its whole ledger and
+its hot keys from that one sorted projection, so every count is exact
+however the epoch's events were grouped into map tasks — the map side
+only validates and routes.
 """
 
 from __future__ import annotations
@@ -389,8 +390,9 @@ def _live_payload(state: pa.Table) -> pa.Table:
 
 def fold_canonical(tables: "list[pa.Table | None]") -> pa.Table | None:
     """The canonical snapshot of state-layout tables (base + deltas,
-    oldest first): live winners, payload columns only, in key order;
-    ``None`` when they hold no rows. Equal to :func:`_live_payload` of
+    oldest first; or several such compositions whose keys are disjoint):
+    live winners, payload columns only, in key order; ``None`` when they
+    hold no rows. Equal to :func:`_live_payload` of
     :func:`fold_state_tables`, but the winner positions of the one
     :func:`_lww_sort` drop their tombstones first, so the payload
     columns are taken once, live rows only."""

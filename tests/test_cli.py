@@ -118,6 +118,53 @@ def test_run_single_partition(ray_session, tmp_path):
     assert main(["validate", lake]) == 0
 
 
+def test_run_partition_mismatch_is_one_json_error(ray_session, tmp_path,
+                                                  capsys):
+    """`run` with a partition count the existing lake was not made with
+    prints one JSON `error` line and exits 1, leaving the lake as it was."""
+    wal = str(tmp_path / "wal")
+    lake = str(tmp_path / "lake")
+    main(["gen", wal, "--epochs", "1", "--epoch-size", "100",
+          "--conversations", "10", "--parts", "1"])
+    assert main(["run", lake, wal, "--partitions", "2"]) == 0
+    capsys.readouterr()
+    assert main(["run", lake, wal, "--partitions", "3"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert "P=2, asked for 3" in json.loads(lines[0])["error"]
+    assert main(["validate", lake]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{lake}", "{wal}", "--partitions", "3"],
+    ["run", "{new}", "{wal}", "--partitions", "2", "--salt-key", "hot",
+     "--views", "conv_summary"],
+    ["export", "{lake}", "{out}", "--view", "conv_summary", "--as-of", "0"],
+    ["export", "{lake}", "{out}", "--view", "conv_summary"],
+    ["changefeed", "{lake}", "--cursor", "{out}", "--from-epoch", "0"],
+    ["changefeed", "{lake}"],
+])
+def test_error_returns_stop_the_session_they_started(
+        tmp_path, monkeypatch, capsys, argv):
+    """Every error return of a command that started a Ray session tears
+    it down (and prints one JSON `error` line, exit 1). No Ray runs: the
+    session is reported as started and the teardown is recorded."""
+    from image_report_ray import cli
+    from image_report_ray.state.manifest import Lake
+
+    lake = str(tmp_path / "lake")
+    Lake(lake, num_partitions=2)
+    shutdowns = []
+    monkeypatch.setattr(cli, "_init_ray", lambda num_cpus: True)
+    monkeypatch.setattr(cli, "_shutdown_if", shutdowns.append)
+    paths = {"lake": lake, "new": str(tmp_path / "new"),
+             "wal": str(tmp_path / "wal"), "out": str(tmp_path / "out")}
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert shutdowns == [True]
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]
+
+
 def test_engine_config_rejects_negative_lookahead():
     from image_report_ray.config import EngineConfig
 

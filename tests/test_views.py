@@ -8,6 +8,7 @@ served by one reader (``read_view``)."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import pyarrow as pa
@@ -255,10 +256,37 @@ def test_view_after_an_epoch_without_views_is_a_full_recompute(
     assert main(["validate", lake.root]) == 0
 
 
-def test_views_on_a_salted_lake_are_rejected(ray_session, tmp_path):
+def test_validate_lists_a_view_older_than_the_state_base(
+        ray_session, tmp_path, capsys):
+    """A compaction run without views carries the older view forward:
+    `cli validate` lists it under `unverified` and still exits 0. A
+    delta epoch carries the view staged with its base file (the MOR
+    lag), which is not listed."""
+    from image_report_ray.cli import main
+
+    stale = ["pid 0: view 'conv_summary' staged at epoch=00000, before "
+             "the state base epoch=00001; not checked"]
+    for mode, every, want in (("cow", 1, stale), ("mor", 3, None)):
+        lake = Lake(str(tmp_path / mode), num_partitions=1)
+        for epoch, views, rows in (
+                (0, ("conv_summary",), [(1, "I", "a", 0), (2, "I", "b", 0)]),
+                (1, (), [(3, "I", "a", 1)])):
+            wal = str(tmp_path / f"{mode}{epoch}.parquet")
+            pq.write_table(_events(rows), wal)
+            apply_epoch(lake, epoch, [wal], EngineConfig(
+                num_partitions=1, views=views, merge_mode=mode,
+                compact_every=every))
+        capsys.readouterr()
+        assert main(["validate", lake.root]) == 0, mode
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert out["problems"] == [] and out.get("unverified") == want, out
+
+
+def test_views_on_a_salted_lake_are_rejected(ray_session, tmp_path, capsys):
     """A salted conversation spans partitions, so per-partition view
     rows would be partials: apply_epoch raises before staging anything,
-    and `cli run --views` on a salted lake fails."""
+    and `cli run --views` on a salted lake fails with one JSON error
+    line and exit code 1."""
     from image_report_ray.cli import main
 
     (tmp_path / "wal" / "epoch=0").mkdir(parents=True)
@@ -276,10 +304,12 @@ def test_views_on_a_salted_lake_are_rejected(ray_session, tmp_path):
     # without views the salted lake ingests as before
     apply_epoch(lake, 0, [wal], EngineConfig(num_partitions=4))
     assert lake.is_committed(0)
-    with pytest.raises(ValueError, match="unsalted"):
-        main(["run", str(tmp_path / "lake2"), str(tmp_path / "wal"),
-              "--partitions", "4", "--salt-key", "hot",
-              "--views", "conv_summary"])
+    capsys.readouterr()
+    assert main(["run", str(tmp_path / "lake2"), str(tmp_path / "wal"),
+                 "--partitions", "4", "--salt-key", "hot",
+                 "--views", "conv_summary"]) == 1
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert "unsalted" in err["error"], err
     # rejected before the new lake saves its salt keys, so the same
     # run without --salt-key is not held to them
     assert not (tmp_path / "lake2" / "_lake.json").exists()
