@@ -41,9 +41,6 @@ def _init_ray(num_cpus: int | None) -> bool:
     init/shutdown cycles in one process."""
     import ray
 
-    # see bench.py: numpy's hugepage madvise stalls on THP compaction
-    # under memory fragmentation; workers inherit this from raylet
-    os.environ.setdefault("NUMPY_MADVISE_HUGEPAGE", "0")
     created = False
     if not ray.is_initialized():
         kwargs = {"include_dashboard": False, "logging_level": "ERROR"}
@@ -136,10 +133,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    owns = _init_ray(args.num_cpus)
     from .state.manifest import Lake
 
-    lake = Lake(args.lake_dir)
+    lake = Lake.open(args.lake_dir)
+    owns = _init_ray(args.num_cpus)
     if getattr(args, "view", None):
         if getattr(args, "as_of", None) is not None:
             # views have no as-of read path; refuse rather than silently
@@ -182,11 +179,11 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
-    owns = _init_ray(args.num_cpus)
     from .pipelines.cdc import gc_tombstones
     from .state.manifest import Lake
 
-    lake = Lake(args.lake_dir)
+    lake = Lake.open(args.lake_dir)
+    owns = _init_ray(args.num_cpus)
     res = gc_tombstones(lake, before_lsn=args.before_lsn)
     print(json.dumps(res))
     _shutdown_if(owns)
@@ -198,10 +195,10 @@ def cmd_expire(args: argparse.Namespace) -> int:
     GC-style rewrite commit (consumes no lsns or WAL epochs, so future
     events still win; snapshots at or after the fold point no longer
     serve the expired rows)."""
-    owns = _init_ray(args.num_cpus)
     from .pipelines.cdc import expire_turns
     from .state.manifest import Lake
 
+    lake = Lake.open(args.lake_dir)
     cutoff = args.before_ts
     if not cutoff.lstrip("-").isdigit():
         import pandas as pd
@@ -209,7 +206,7 @@ def cmd_expire(args: argparse.Namespace) -> int:
         cutoff = pd.Timestamp(cutoff).value // 1000  # ns -> us
     else:
         cutoff = int(cutoff)
-    lake = Lake(args.lake_dir)
+    owns = _init_ray(args.num_cpus)
     res = expire_turns(lake, cutoff)
     print(json.dumps(res))
     _shutdown_if(owns)
@@ -220,11 +217,12 @@ def cmd_reshard(args: argparse.Namespace) -> int:
     """Migrate the lake's current state to a new lake with a different
     partition count (P is immutable per lake); the WAL stream resumes on
     the new lake at the next epoch number."""
-    owns = _init_ray(args.num_cpus)
     from .pipelines.cdc import reshard_lake
     from .state.manifest import Lake
 
-    res = reshard_lake(Lake(args.src_lake), args.dst_lake, args.partitions)
+    src = Lake.open(args.src_lake)
+    owns = _init_ray(args.num_cpus)
+    res = reshard_lake(src, args.dst_lake, args.partitions)
     print(json.dumps(res))
     _shutdown_if(owns)
     return 0
@@ -257,13 +255,14 @@ def cmd_changefeed(args: argparse.Namespace) -> int:
     same range on the next run — safe, because a range feed is the NET
     state diff and applying it twice is idempotent for any
     state-applying consumer. Already-caught-up runs are no-ops."""
+    from .state.manifest import Lake
+
+    lake = Lake.open(args.lake_dir)
     owns = _init_ray(args.num_cpus)
     import ray
 
     from .pipelines.cdc import changefeed_range_refs
-    from .state.manifest import Lake
 
-    lake = Lake(args.lake_dir)
     cursor_path = getattr(args, "cursor", None)
     if cursor_path:
         cursor_epoch = -1
@@ -379,7 +378,7 @@ def cmd_vacuum(args: argparse.Namespace) -> int:
     from .pipelines.cdc import vacuum_lake
     from .state.manifest import Lake
 
-    res = vacuum_lake(Lake(args.lake_dir), keep_epochs=args.keep_epochs)
+    res = vacuum_lake(Lake.open(args.lake_dir), keep_epochs=args.keep_epochs)
     print(json.dumps(res))
     return 0
 
@@ -393,7 +392,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     whether the counts are authoritative."""
     from .state.manifest import Lake
 
-    lake = Lake(args.lake_dir)
+    lake = Lake.open(args.lake_dir)
     entries = lake.current_entries()
     sets = lake.current_file_sets()
     parts = {}
@@ -539,19 +538,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     reports), and a view carried forward from before the partition's
     base state file (a compaction run without views)."""
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
-    from .state.manifest import Lake
+    from .state.manifest import Lake, read_state_file
     from .state.merge import DIGEST_ALGO, table_digest
     from .xmlreport import read_report
 
-    lake = Lake(args.lake_dir)
+    lake = Lake.open(args.lake_dir)
     problems: list[str] = []
     unverified: list[str] = []
     checked = 0
     entries = lake.current_entries()
     for pid, entry in sorted(entries.items()):
-        t = pq.ParquetFile(os.path.join(lake.root, entry["file"])).read()
+        t = read_state_file(os.path.join(lake.root, entry["file"]))
         live = int(pc.sum(pc.cast(pc.invert(t.column("_deleted")), "int64")).as_py() or 0)
         if live != entry["rows_live"]:
             problems.append(f"pid {pid}: rows_live {live} != manifest {entry['rows_live']}")
@@ -595,7 +593,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             if vname not in VIEW_REGISTRY:
                 problems.append(f"pid {pid}: unknown view {vname!r} in manifest")
                 continue
-            got = pq.ParquetFile(os.path.join(lake.root, vrel)).read()
+            got = read_state_file(os.path.join(lake.root, vrel))
             if not maintain_view(vname, t).equals(sort_view(vname, got)):
                 problems.append(
                     f"pid {pid}: view {vname!r} != recompute from state"
@@ -889,13 +887,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # see bench.py: numpy's hugepage madvise stalls on THP compaction
+    # under memory fragmentation; set before a command imports numpy
+    # (it opens its lake first), and workers inherit it from raylet
+    os.environ.setdefault("NUMPY_MADVISE_HUGEPAGE", "0")
+    from .state.manifest import LakeNotFoundError
+
     args = apply_logging_args(build_parser().parse_args(argv))
     setup_logging(
         stream_level=args.log_level_console_int,
         file_level=args.log_level_file_int,
         log_file=args.log_file,
     )
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except LakeNotFoundError as exc:
+        # commands open their lake before they start Ray: none is up
+        return _fail(False, str(exc))
 
 
 if __name__ == "__main__":

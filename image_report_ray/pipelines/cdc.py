@@ -29,12 +29,13 @@ from 2->8 CPUs on the same input.  At small epochs a Ray shuffle's cost
 follows its object and task counts more than its bytes: with one object
 and one task per partition, that cost exceeded the merge work at the
 benchmark's epoch sizes.  One per CPU slot keeps the exchange as wide
-as the cluster and no wider.  Every per-partition stage (merge, feed,
-GC/expiry, export, migrations, cdcq state queries) fans out the same way
-through :func:`per_partition`, whose exchange mode consumes a
-:func:`split_stage`.  Partition is still the unit of state: each one is
-merged, written, digested and reported on its own, so files and commits
-do not depend on G.  The grouping is static (``i % G``), so a group
+as the cluster and no wider.  Every per-partition stage (merge, sharded
+feed, GC/expiry, export, migrations, cdcq state queries) fans out the
+same way through :func:`per_partition`, whose exchange mode consumes a
+:func:`split_stage`; a gathered snapshot or feed is one driver sort.
+Partition is still the unit of state: each one is merged, written,
+digested and reported on its own, so files and commits do not depend
+on G.  The grouping is static (``i % G``), so a group
 holding a hot partition finishes last, and salting a hot conversation
 (``salt_keys``) stays the remedy for that skew.  Dataset remains the API
 for sources and stateless stages; a changelog Dataset is accepted
@@ -87,7 +88,8 @@ from ..schema import (
     unify_additive,
 )
 from ..stages.derive import make_add_pid, validate_changes
-from ..state.manifest import Lake, read_canonical, read_composition, stage_partition
+from ..state.manifest import (
+    Lake, read_canonical, read_composition, read_state_file, stage_partition)
 from ..state.merge import (
     SRC_COL,
     MergeStats,
@@ -221,7 +223,7 @@ def read_wal_file(path: str) -> pa.Table:
     (ints narrowed, ISO timestamps parsed); columns beyond the schema
     (additive evolution) pass through untouched."""
     if not path.endswith((".jsonl", ".json")):
-        return pq.ParquetFile(path).read()
+        return read_state_file(path)
     from pyarrow import json as pa_json
 
     from ..schema import CHANGE_SCHEMA
@@ -392,7 +394,7 @@ def _merge_part(pid, prior_paths, prior_lsn, vnames, lake_root, epoch,
     parts = [p for p in parts if p.num_rows]
     if not parts:
         return None
-    prior = [pq.ParquetFile(p).read() for p in prior_paths]
+    prior = [read_state_file(p) for p in prior_paths]
     return merge_partition_kernel(
         pid, parts, prior, prior_lsn, lake_root, epoch, 3,
         metric_names=mnames, view_names=vnames,
@@ -735,7 +737,7 @@ def _rewrite_part(pid, paths, last_lsn, lake_root, seq, drop, arg, views):
     t0 = time.perf_counter()
     t = read_composition(paths)
     if t is None:  # an earlier rewrite emptied it: its zero-row file
-        t = pq.ParquetFile(paths[-1]).read()
+        t = read_state_file(paths[-1])
     kept = t.filter(pc.invert(drop(t, arg)))
     row = stage_partition(kept, lake_root, "gc", seq, pid,
                           views=views, t0=t0)
@@ -1062,11 +1064,11 @@ def diff_snapshots(
     Arrow only: a hash join of the two sides' key + row-number
     projections, a ``take`` + ``equal`` per payload column over the
     matched rows, then one ``take`` of side 1's payload. Property-tested
-    against a dict-based naive diff. The engine's per-partition feed
-    (:func:`_part_feed`) reaches the same result from one LWW sort of
-    the two compositions and is tested equal to this kernel over their
+    against a dict-based naive diff. The engine's feed (:func:`_feed`)
+    reaches the same result from one LWW sort of the two snapshots'
+    compositions and is tested equal to this kernel over their
     canonical snapshots; this one stays the pure form, for two snapshot
-    tables in hand, and gives the empty feed its schema."""
+    tables in hand."""
     a = a if a is not None and a.num_rows else None
     b = b if b is not None and b.num_rows else None
     payload = [] if b is None else [
@@ -1106,49 +1108,54 @@ def _side_winners(order: _Sorted, side: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(at, order.starts) if len(src) else at
 
 
-def _part_feed(paths0: list, paths1: list) -> pa.Table:
-    """One partition's feed between two compositions (base first, then
-    deltas), from one LWW sort that reads each file once.
+def _feed(pairs: list) -> pa.Table:
+    """The feed between two snapshots, from one LWW sort that reads each
+    file once. ``pairs`` holds one ``(paths0, paths1)`` pair of
+    compositions (base first, then deltas) per partition, in pid order;
+    routing sends each key to one partition (salted lakes too), so no
+    key run mixes pairs and one sort serves them all.
 
-    Files in the compositions' common prefix are shared; the others
-    belong to one side. Committed files are immutable and their names
-    are never reused, so only conversations present in a one-side file
-    can differ, and of the shared files only those conversations' key
-    rows are sorted (after a compaction, GC or migration in the range,
-    or with no ``from`` snapshot, nothing is shared and both sides sort
-    in full). An ``_lsn`` cut at the ``from`` epoch's high-water mark
-    would not be exact: a late event below it still wins LWW for its key.
+    In each pair, files in the compositions' common prefix are shared;
+    the others belong to one side. Committed files are immutable and
+    their names are never reused, so only conversations present in a
+    one-side file can differ, and of the shared files only the key rows
+    of conversations that any one-side file touches are sorted (after a
+    compaction, GC or migration in the range, or with no ``from``
+    snapshot, a pair shares nothing and both sides sort in full). A
+    conversation touched in one partition of a salted lake can pull
+    another partition's shared rows into the sort: those keys have the
+    same winner on both sides, so they never feed. An ``_lsn`` cut at
+    the ``from`` epoch's high-water mark would not be exact: a late
+    event below it still wins LWW for its key.
 
-    ``_src`` orders the files [shared, side 0's own, side 1's own], so
-    each side keeps its composition order, and the last row of a key
-    run from a side's files is that side's own fold winner. Live on one
-    side only feeds ``I`` or ``D``; live on both from different rows is
-    compared with :func:`_same` on those rows; side 1's payload is
-    taken once, for the fed rows, already in key order.
+    ``_src`` orders each pair's files [shared, side 0's own, side 1's
+    own], so each side keeps its composition order, and the last row of
+    a key run from a side's files is that side's own fold winner. Live
+    on one side only feeds ``I`` or ``D``; live on both from different
+    rows is compared with :func:`_same` on those rows; side 1's payload
+    is taken once, for the fed rows, already in key order.
 
     The result equals :func:`diff_snapshots` of the two full canonical
     snapshots, schema included: side 1's payload columns, or bare ``D``
     rows when the full ``to`` snapshot has no live row (decided by the
     shared files' untouched rows when no sorted key is live in ``to``)."""
-    tables = {
-        p: pq.ParquetFile(p).read() for p in dict.fromkeys([*paths0, *paths1])
-    }
-    k = 0
-    while k < min(len(paths0), len(paths1)) and paths0[k] == paths1[k]:
-        k += 1
-    own0, own1 = paths0[k:], paths1[k:]
-    stack = [tables[p] for p in (*paths0[:k], *own0, *own1)]
-    side0 = np.repeat([True, True, False], [k, len(own0), len(own1)])
-    side1 = np.repeat([True, False, True], [k, len(own0), len(own1)])
-    keep, hit = None, []
-    if k:
+    files, role = [], []  # role: 0 shared, 1 side 0's own, 2 side 1's own
+    for paths0, paths1 in pairs:
+        k = 0
+        while k < min(len(paths0), len(paths1)) and paths0[k] == paths1[k]:
+            k += 1
+        files += [*paths0, *paths1[k:]]
+        role += [0] * k + [1] * (len(paths0) - k) + [2] * (len(paths1) - k)
+    role = np.array(role, dtype=np.int8)
+    tables = {p: read_state_file(p) for p in dict.fromkeys(files)}
+    stack = [tables[p] for p in files]
+    keep = None
+    if (role == 0).any():
         touched = pa.chunked_array(
-            [c for p in (*own0, *own1) for c in tables[p].column("conv_id").chunks],
-            pa.string(),
-        ).unique()
-        hit = [_np(pc.is_in(t.column("conv_id"), value_set=touched))
-               for t in stack[:k]]
-        keep = [*hit, *[None] * (len(stack) - k)]
+            [c for t, r in zip(stack, role) if r
+             for c in t.column("conv_id").chunks], pa.string()).unique()
+        keep = [None if r else _np(pc.is_in(t.column("conv_id"), value_set=touched))
+                for t, r in zip(stack, role)]
     order = _lww_sort(stack, keep=keep)
     pos, dead = order.idx, order.stacked.column(DELETED_COL)
 
@@ -1157,9 +1164,9 @@ def _part_feed(paths0: list, paths1: list) -> pa.Table:
         out[out] = ~_np(dead.take(pos[w[out]]))
         return out
 
-    w0, w1 = _side_winners(order, side0), _side_winners(order, side1)
+    w0, w1 = _side_winners(order, role != 2), _side_winners(order, role != 1)
     live0, live1 = live(w0), live(w1)
-    schemas1 = [t.schema for t, s in zip(stack, side1) if s and t.num_rows]
+    schemas1 = [t.schema for t, r in zip(stack, role) if r != 1 and t.num_rows]
     payload = [c for c in payload_names(unify_additive(*schemas1))
                if c not in KEY_COLUMNS] if schemas1 else []
     cand = np.flatnonzero(live0 & live1 & (w0 != w1))
@@ -1179,8 +1186,8 @@ def _part_feed(paths0: list, paths1: list) -> pa.Table:
         # no sorted key is live in `to`: the untouched keys decide
         # whether the full snapshot is empty, which feeds bare D rows
         rest = fold_canonical([
-            t.select([*KEY_COLUMNS, LSN_COL, DELETED_COL]).filter(pa.array(~h))
-            for t, h in zip(stack[:k], hit)])
+            t.select([*KEY_COLUMNS, LSN_COL, DELETED_COL]).filter(pa.array(~m))
+            for t, m in zip(stack, keep or []) if m is not None])
         payload = payload if rest is not None and rest.num_rows else []
     if payload:  # D rows take a null index: null payload
         i1 = pa.array(pos[w1[runs]], mask=~live1[runs])
@@ -1188,40 +1195,39 @@ def _part_feed(paths0: list, paths1: list) -> pa.Table:
     return pa.table(cols)
 
 
+def _part_feed(paths0: list, paths1: list) -> pa.Table:
+    """One partition's feed: :func:`_feed` of one pair."""
+    return _feed([(paths0, paths1)])
+
+
+def _feed_pairs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
+    """The validated range's ``(paths0, paths1)`` pairs, in pid order."""
+    if not lake.is_committed(to_epoch):
+        raise ValueError(f"epoch {to_epoch} is not committed")
+    if from_epoch >= to_epoch:
+        raise ValueError(f"from_epoch {from_epoch} must be < to_epoch {to_epoch}")
+    has_base = from_epoch >= 0 and any(e <= from_epoch for e in lake.committed_epochs())
+    sets0 = lake.current_file_sets(as_of=from_epoch) if has_base else {}
+    sets1 = lake.current_file_sets(as_of=to_epoch)
+    return [(sets0.get(pid, []), sets1.get(pid, []))
+            for pid in sorted(set(sets0) | set(sets1))]
+
+
 def changefeed_range_refs(lake: Lake, from_epoch: int, to_epoch: int) -> list:
     """Per-partition change-feed refs, in pid order, for the NET effect of
     epochs ``(from_epoch, to_epoch]`` — the diff of the two time-travel
     snapshots (the Delta `table_changes(from, to)` analogue). Each
-    partition's feed is one :func:`_part_feed`, one LWW sort of the two
-    compositions: when the range only appended delta files to a
-    partition's composition, it sorts just the conversations those files
-    touch; otherwise both compositions in full. The partitions run
-    grouped like every partition stage (:func:`per_partition`):
-    ``G = min(n, cluster CPUs)`` tasks for the ``n`` partitions, each
-    returning one object per partition — Ray's cost per task exceeds a
-    small partition's feed. A consumer
-    that catches up after missing several epochs reads ONE compacted
-    feed instead of replaying each epoch's feed; intermediate churn
-    (insert-then-delete, update-then-revert) nets out by construction.
-    ``from_epoch = -1`` diffs against the empty lake (every live row
-    feeds as ``I``). This is the scale surface: consumers write or
-    forward each partition's feed without ever gathering the whole range
-    on the driver; :func:`changefeed_range` / :func:`changefeed` are the
-    small-result convenience wrappers that do gather."""
-    if not lake.is_committed(to_epoch):
-        raise ValueError(f"epoch {to_epoch} is not committed")
-    if from_epoch >= to_epoch:
-        raise ValueError(
-            f"from_epoch {from_epoch} must be < to_epoch {to_epoch}"
-        )
-    has_base = from_epoch >= 0 and any(
-        e <= from_epoch for e in lake.committed_epochs()
-    )
-    sets0 = lake.current_file_sets(as_of=from_epoch) if has_base else {}
-    sets1 = lake.current_file_sets(as_of=to_epoch)
-    pairs = [(sets0.get(pid, []), sets1.get(pid, []))
-             for pid in sorted(set(sets0) | set(sets1))]
-    return per_partition(_part_feed, pairs)
+    partition's feed is one :func:`_part_feed`, run grouped like every
+    partition stage (:func:`per_partition`). A consumer that catches up after
+    missing several epochs reads ONE compacted feed instead of replaying
+    each epoch's feed; intermediate churn (insert-then-delete,
+    update-then-revert) nets out by construction. ``from_epoch = -1``
+    diffs against the empty lake (every live row feeds as ``I``). This
+    is the scale surface: consumers write or forward each partition's
+    feed without ever gathering the whole range on the driver;
+    :func:`changefeed_range` / :func:`changefeed` are the small-result
+    forms, read on the driver."""
+    return per_partition(_part_feed, _feed_pairs(lake, from_epoch, to_epoch))
 
 
 def changefeed_refs(lake: Lake, epoch: int) -> list:
@@ -1232,18 +1238,11 @@ def changefeed_refs(lake: Lake, epoch: int) -> list:
 
 
 def changefeed_range(lake: Lake, from_epoch: int, to_epoch: int) -> pa.Table:
-    """Gather-to-driver convenience form of :func:`changefeed_range_refs`
-    (sorted (conv_id, turn_idx))."""
-    import ray
-
-    tabs = [
-        t
-        for t in ray.get(changefeed_range_refs(lake, from_epoch, to_epoch))
-        if t.num_rows
-    ]
-    if not tabs:
-        return diff_snapshots(None, None)
-    return sort_canonical(concat_evolving(tabs))
+    """The range's feed as one table, sorted (conv_id, turn_idx): one
+    :func:`_feed` of every partition on the driver, with no Ray task,
+    gather or re-sort; equal to :func:`diff_snapshots` of the two
+    time-travel snapshots, schema included."""
+    return _feed(_feed_pairs(lake, from_epoch, to_epoch))
 
 
 def changefeed(lake: Lake, epoch: int) -> pa.Table:
@@ -1251,17 +1250,16 @@ def changefeed(lake: Lake, epoch: int) -> pa.Table:
     effect of ``epoch`` against the previous snapshot. Like Delta's
     change feed it starts from the files the epoch added: under
     merge-on-read an epoch appends one delta file per partition, and
-    only the conversations in it enter the feed's one LWW sort (a
-    compaction epoch sorts both compositions in full). No extra
-    bookkeeping at write time, and it works retroactively for any
-    committed epoch because data files are immutable. Per key: ``I`` = appeared, ``D`` =
-    disappeared, ``U`` = any payload column changed; an update that
-    rewrote identical values does not feed (net-effect semantics, same
-    rule as the compacted exchange). One feed per partition (pid routing
-    is stable across epochs), run in one task per CPU slot, each read
-    from one sort (:func:`_part_feed`, equal to the reference kernel
-    :func:`diff_snapshots`); sorted (conv_id, turn_idx) output.
-    This is the gather-to-driver convenience form — scale consumers use
+    only the conversations in them enter the feed's one LWW sort (a
+    partition compacted in the epoch sorts both compositions in full).
+    No extra bookkeeping at write time, and it works retroactively for
+    any committed epoch because data files are immutable. Per key: ``I``
+    = appeared, ``D`` = disappeared, ``U`` = any payload column changed;
+    an update that rewrote identical values does not feed (net-effect
+    semantics, same rule as the compacted exchange). Read on the driver
+    in one sort over every partition (:func:`_feed`, equal to the
+    reference kernel :func:`diff_snapshots`); sorted (conv_id, turn_idx)
+    output. This is the small-result form — scale consumers use
     :func:`changefeed_refs` and handle each partition's feed in place.
     Catching up over several epochs at once: :func:`changefeed_range`."""
     return changefeed_range(lake, epoch - 1, epoch)

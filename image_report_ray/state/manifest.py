@@ -71,6 +71,10 @@ STATE_PARQUET_OPTS = dict(
 )
 
 
+class LakeNotFoundError(FileNotFoundError):
+    """:meth:`Lake.open` of a path that holds no lake."""
+
+
 class Lake:
     """A partitioned, transactionally-committed Parquet state lake."""
 
@@ -118,6 +122,14 @@ class Lake:
                     sort_keys=True,
                 )
             os.replace(tmp, cfg_path)
+
+    @classmethod
+    def open(cls, root: str) -> "Lake":
+        """The existing lake at ``root``; never creates one. Raises
+        :class:`LakeNotFoundError` when ``root`` has no ``_lake.json``."""
+        if not os.path.exists(os.path.join(root, "_lake.json")):
+            raise LakeNotFoundError(f"no lake at {root} (no _lake.json)")
+        return cls(root)
 
     # ---- paths -------------------------------------------------------
     def data_path(self, epoch: int, pid: int) -> str:
@@ -280,10 +292,17 @@ class Lake:
         os.replace(tmp, path)
 
 
+def read_state_file(path: str) -> pa.Table:
+    """One whole state, view or WAL Parquet file, read without
+    pre-buffering or reader threads: on files of a few thousand rows
+    both cost more than they save."""
+    return pq.ParquetFile(path, pre_buffer=False).read(use_threads=False)
+
+
 def read_composition(paths: list[str]) -> pa.Table | None:
     """Read one partition's composition (base first, then deltas) and
     LWW-fold it to a single state table; ``None`` when it holds no rows."""
-    return fold_state_tables([pq.ParquetFile(p).read() for p in paths])
+    return fold_state_tables([read_state_file(p) for p in paths])
 
 
 def read_canonical(paths: list[str]) -> pa.Table | None:
@@ -293,7 +312,7 @@ def read_canonical(paths: list[str]) -> pa.Table | None:
     key order with unique keys, so a single file needs no sort, and more
     take one LWW sort that takes only the live winners' payload
     (:func:`fold_canonical`)."""
-    return fold_canonical([pq.ParquetFile(p).read() for p in paths])
+    return fold_canonical([read_state_file(p) for p in paths])
 
 
 def stage_partition(

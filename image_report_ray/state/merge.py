@@ -25,11 +25,12 @@ The epoch merge and :func:`fold_state_tables` (merge-on-read, under
 ``read_composition``) run both steps. :func:`fold_canonical` (snapshot
 and as-of reads, one call over every partition's composition) drops
 the tombstoned winners before its one take of the payload columns, and
-the change feed (``pipelines/cdc.py`` ``_part_feed``) runs only the
-sort: each side's winner is the last row of a run from that side's
-files. A compaction merge hands the prior composition (base + deltas)
-to the same sort as the epoch's events, unfolded, so every prior row
-is sorted once per compaction. The merge derives its whole ledger and
+the change feed (``pipelines/cdc.py`` ``_feed``, one call over every
+partition's compositions for a gathered feed) runs only the sort: each
+side's winner is the last row of a run from that side's files. A
+compaction merge hands the prior composition (base + deltas) to the
+same sort as the epoch's events, unfolded, so every prior row is
+sorted once per compaction. The merge derives its whole ledger and
 its hot keys from that one sorted projection, so every count is exact
 however the epoch's events were grouped into map tasks — the map side
 only validates and routes.

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from .merge import _live_payload
 
@@ -107,7 +106,9 @@ def read_view(lake, name: str) -> pa.Table:
     files = lake.current_view_files(name)
     if not files:
         raise KeyError(f"no committed view {name!r} in this lake")
-    tabs = [pq.ParquetFile(p).read() for _, p in sorted(files.items())]
+    from .manifest import read_state_file  # manifest imports this module
+
+    tabs = [read_state_file(p) for _, p in sorted(files.items())]
     nonempty = [t for t in tabs if t.num_rows]
     if not nonempty:
         return tabs[0].schema.empty_table()

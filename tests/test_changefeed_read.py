@@ -414,11 +414,14 @@ def test_part_feed_bare_deletes_decided_by_untouched_shared_rows(tmp_path):
 
 
 def test_feed_read_path_does_not_import_pandas(tmp_path):
-    """The feed kernel and the per-partition feed run with pandas
-    unimportable and leave it unloaded. (pyarrow's dataset module,
-    behind ``pq.read_table``, loads pandas whenever it can, so the
-    subprocess makes it unimportable first.)"""
+    """The feed kernel, the per-partition feed and a two-partition
+    ``_feed`` run with pandas unimportable and leave it unloaded.
+    (pyarrow's dataset module, behind ``pq.read_table``, loads pandas
+    whenever it can, so the subprocess makes it unimportable first.)"""
     base, delta = _mor_partition(str(tmp_path))
+    other = [_state_file(str(tmp_path / "x0.parquet"),
+                         [(1, "I", "x", 0, "a"), (2, "I", "x", 1, "b")]),
+             _state_file(str(tmp_path / "x1.parquet"), [(3, "U", "x", 1, "c")])]
     code = (
         "import importlib.abc, sys\n"
         "class NoPandas(importlib.abc.MetaPathFinder):\n"
@@ -433,6 +436,11 @@ def test_feed_read_path_does_not_import_pandas(tmp_path):
         "d = cdc.diff_snapshots(read_canonical(paths[:1]), "
         "read_canonical(paths))\n"
         "assert feed.equals(d) and feed.num_rows == 3\n"
+        f"other = {other!r}\n"
+        "feed = cdc._feed([(paths[:1], paths), (other[:1], other)])\n"
+        "d = cdc.diff_snapshots(read_canonical(paths[:1] + other[:1]), "
+        "read_canonical(paths + other))\n"
+        "assert feed.equals(d) and feed.num_rows == 4\n"
         "print('pandas' in sys.modules)\n"
     )
     out = subprocess.run(
@@ -499,9 +507,10 @@ def _churn_epochs(state: pa.Table, wal: str, first: int, lsn0: int,
 
 
 def _assert_all_range_feeds(lake: Lake, kinds: dict) -> int:
-    """Every committed pair f < t (f = -1 included): the gathered range
-    feed equals the dict diff of the as-of snapshots, and each
-    partition's feed equals the full-snapshot diff, schema included.
+    """Every committed pair f < t (f = -1 included): the range feed
+    equals the dict diff of the as-of snapshots and, schema included,
+    ``diff_snapshots`` of them; each partition's feed equals the
+    full-snapshot diff of its compositions, schema included.
     ``kinds`` counts the partition pairs by ``_part_feed`` branch: the
     prefix rule with new delta files, an unchanged composition, or the
     full fold."""
@@ -516,6 +525,9 @@ def _assert_all_range_feeds(lake: Lake, kinds: dict) -> int:
             feed = changefeed_range(lake, f, t)
             a = snaps[f] if snaps[f] is not None and snaps[f].num_rows else None
             assert feed_dict(feed) == dict_diff(a, snaps[t]), (lake.root, f, t)
+            want = diff_snapshots(a, snaps[t])
+            assert feed.schema == want.schema, (lake.root, f, t)
+            assert feed.equals(want), (lake.root, f, t)
             sets0 = lake.current_file_sets(as_of=f) if f >= 0 else {}
             sets1 = lake.current_file_sets(as_of=t)
             for pid, p1 in sets1.items():
@@ -617,6 +629,80 @@ def test_late_event_below_previous_high_water_still_feeds(
     assert feed_dict(feed) == want
     assert want[("conv-k", 0)][0] == "U"
     assert want[("conv-k", 0)][1]["text"] == "late"
+
+
+def _pid_conv(P: int, pid: int) -> str:
+    """A conversation id that routes to ``pid`` of ``P``."""
+    for i in range(100):
+        ev = _events([(1, "I", f"conv-{i}", 0, "x")])
+        if cdc.prepare_and_split(ev, P)[pid].num_rows:
+            return f"conv-{i}"
+    raise AssertionError("no conversation routes there")
+
+
+def test_range_feed_keeps_a_column_only_empty_partition_feeds_carry(
+        ray_session, tmp_path):
+    """Epoch 1 rewrites conversation a (pid 0) identically, with a new
+    null column ``meta``, and updates b (pid 1) without it, from two WAL
+    files in two map tasks. Partition 0's feed is empty but carries
+    ``meta``, so the range feed carries it too: it equals the
+    full-snapshot diff, schema included."""
+    a, b = _pid_conv(2, 0), _pid_conv(2, 1)
+    row = {"role": "user", "turn_idx": 0, "text": "v1"}
+
+    def wal(name: str, events: list, schema=CHANGE_SCHEMA) -> str:
+        path = str(tmp_path / f"{name}.parquet")
+        pq.write_table(pa.Table.from_pylist(events, schema=schema), path)
+        return path
+
+    epochs = [
+        [wal("e0", [_event(1, "I", {**row, "conv_id": a}),
+                    _event(2, "I", {**row, "conv_id": b})])],
+        [wal("e1-rewrite", [_event(3, "U", {**row, "conv_id": a})], EVOLVED),
+         wal("e1-update", [_event(4, "U", {**row, "conv_id": b, "text": "v2"})])],
+    ]
+    lake = Lake(str(tmp_path / "lake"), num_partitions=2)
+    cfg = EngineConfig(num_partitions=2, map_task_rows=1)
+    for e, files in enumerate(epochs):
+        apply_epoch(lake, e, files, cfg)
+    want = diff_snapshots(canonical_state_table(lake, as_of=0),
+                          canonical_state_table(lake, as_of=1))
+    assert "meta" in want.column_names
+    assert want.column("op").to_pylist() == ["U"]
+    for feed in (changefeed(lake, 1), changefeed_range(lake, 0, 1)):
+        assert feed.schema == want.schema
+        assert feed.equals(want)
+
+
+def test_range_feed_submits_no_ray_task(ray_session, tmp_path, monkeypatch):
+    """``changefeed_range`` and ``changefeed`` read on the driver: no
+    ``per_partition`` fan-out (the one under every Ray stage), while
+    ``changefeed_range_refs`` still makes one. Their rows are the
+    partition feeds' rows, in key order."""
+    import ray
+
+    wal = str(tmp_path / "wal")
+    paths = write_wal(wal, n_epochs=3, epoch_size=300, seed=6, n_convs=40,
+                      max_turns=5, op_mix=(0.4, 0.3, 0.3))
+    lake = Lake(str(tmp_path / "lake"), num_partitions=4)
+    cfg = EngineConfig(num_partitions=4, merge_mode="mor", compact_every=3)
+    for e, p in enumerate(paths):
+        apply_epoch(lake, e, [p], cfg)
+    calls = []
+    real = cdc.per_partition
+    monkeypatch.setattr(cdc, "per_partition",
+                        lambda fn, *a, **k: calls.append(fn) or real(fn, *a, **k))
+    for f, t in ((-1, 2), (0, 2), (1, 2), (0, 1)):
+        feed = changefeed_range(lake, f, t)
+        assert changefeed(lake, t).equals(changefeed_range(lake, t - 1, t))
+        assert calls == []
+        parts = ray.get(cdc.changefeed_range_refs(lake, f, t))
+        assert calls == [cdc._part_feed]
+        calls.clear()
+        assert feed_dict(feed) == feed_dict(pa.concat_tables(parts))
+        keys = list(zip(feed.column("conv_id").to_pylist(),
+                        feed.column("turn_idx").to_pylist()))
+        assert keys == sorted(keys) and feed.num_rows
 
 
 def _spy_feed_tasks(monkeypatch) -> list:

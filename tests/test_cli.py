@@ -165,6 +165,39 @@ def test_error_returns_stop_the_session_they_started(
     assert len(lines) == 1 and json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["export", "{missing}", "{out}"],
+    ["compact", "{missing}", "--before-lsn", "10"],
+    ["expire", "{missing}", "--before-ts", "10"],
+    ["reshard", "{missing}", "{out}", "--partitions", "2"],
+    ["changefeed", "{missing}", "--epoch", "1"],
+    ["vacuum", "{missing}"],
+    ["stats", "{missing}"],
+    ["validate", "{missing}"],
+], ids=lambda argv: argv[0])
+def test_missing_lake_is_one_json_error_without_ray(
+        tmp_path, monkeypatch, capsys, argv):
+    """A lake-reading command on a path with no lake prints one JSON
+    `error` line naming it and exits 1. It creates nothing there, and no
+    Ray session is left up: the command opens the lake before it would
+    start one."""
+    from image_report_ray import cli
+
+    started, shutdowns = [], []
+    monkeypatch.setattr(cli, "_init_ray",
+                        lambda num_cpus: started.append(True) or True)
+    monkeypatch.setattr(cli, "_shutdown_if", shutdowns.append)
+    missing = str(tmp_path / "missing")
+    paths = {"missing": missing, "out": str(tmp_path / "out")}
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert shutdowns.count(True) == len(started)
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert f"no lake at {missing}" in json.loads(lines[0])["error"]
+    assert not os.path.exists(missing)
+    assert not os.path.exists(paths["out"])
+
+
 def test_engine_config_rejects_negative_lookahead():
     from image_report_ray.config import EngineConfig
 
