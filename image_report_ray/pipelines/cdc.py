@@ -15,6 +15,11 @@ Engine lifecycle (SURVEY.md §3), one epoch::
       -> per-partition lineage XML                 # the reference's report graft
       -> atomic commit manifest                    # exactly-once promotion
 
+    inline branch: a lone delta epoch of <= INLINE_EPOCH_ROWS Parquet rows
+      handed no map refs (a follower's steady state) runs the same map
+      and merge kernels in the driver, one partition after another,
+      then the same lineage and commit — no Ray task, same bytes
+
 Why raw Ray tasks for the exchange instead of ``Dataset.groupby``: the
 epoch is a *transaction* — every merge must see exactly the prior epoch's
 committed state, so each epoch ends at a commit barrier.  Under Ray Data's
@@ -33,6 +38,10 @@ as the cluster and no wider.  Every per-partition stage (merge, sharded
 feed, GC/expiry, export, migrations, cdcq state queries) fans out the
 same way through :func:`per_partition`, whose exchange mode consumes a
 :func:`split_stage`; a gathered snapshot or feed is one driver sort.
+The one exception is the inline branch above: an epoch whose work is
+smaller than Ray's fixed cost per task and object (see
+:data:`INLINE_EPOCH_ROWS`) and that reads no prior state is mapped
+and merged in the driver, so its cost stays O(epoch).
 Partition is still the unit of state: each one is merged, written,
 digested and reported on its own, so files and commits do not depend
 on G.  The grouping is static (``i % G``), so a group
@@ -60,9 +69,10 @@ full state every epoch. The merge, GC/expiry rewrites, reshard and
 bootstrap stage partitions through one writer (``stage_partition``:
 state, views, digest, metrics) and commit through one publish
 (:func:`publish_commit`: lineage reports, then the record), so views
-and lineage survive every rewrite. ``run_job`` keeps a bounded
-lookahead of map stages in flight so epoch K+1 reads/compacts while
-epoch K merges — the WAL never materializes fully.
+and lineage survive every rewrite. With more than one epoch pending,
+``run_job`` keeps a bounded lookahead of map stages in flight so epoch
+K+1 reads/compacts while epoch K merges — the WAL never materializes
+fully.
 """
 
 from __future__ import annotations
@@ -401,17 +411,29 @@ def _merge_part(pid, prior_paths, prior_lsn, vnames, lake_root, epoch,
     )
 
 
+def _footer_rows(path: str) -> int | None:
+    """A WAL file's row count from its Parquet footer (metadata only —
+    no data read); ``None`` when it has none to read: a JSONL file, or
+    one unreadable at the footer (the map task applies the skip
+    policy)."""
+    try:
+        return pq.read_metadata(path).num_rows
+    except (pa.ArrowInvalid, OSError):
+        return None
+
+
 def _group_files(files: list[str], target_rows: int) -> list[list[str]]:
     """Greedy grouping of WAL files into ~target_rows map tasks using
-    Parquet footer row counts (metadata only — no data read)."""
+    Parquet footer row counts. A file with no footer to count gets a
+    task of its own: its size is unknown, so grouping it could put a
+    whole JSONL epoch in one task."""
     groups: list[list[str]] = []
     cur: list[str] = []
     cur_rows = 0
     for f in files:
-        try:
-            n = pq.read_metadata(f).num_rows
-        except (pa.ArrowInvalid, OSError):
-            n = 0  # unreadable: still forwarded; the map task applies policy
+        n = _footer_rows(f)
+        if n is None:
+            n = float("inf")  # closes the open task, and its own
         if cur and cur_rows + n > target_rows:
             groups.append(cur)
             cur, cur_rows = [], 0
@@ -457,6 +479,41 @@ def _reject_salted_views(views, salt_keys) -> None:
         )
 
 
+# The largest epoch the driver maps and merges itself (``apply_epoch``'s
+# inline branch), in WAL rows counted from Parquet footers. Measured on
+# a 4-CPU host (Ray num_cpus=4), delta epochs only (compact_every=8):
+# tree CPU (driver + Ray workers + raylet + GCS) and wall per epoch,
+# inline against the fan-out, median of 36 epochs:
+#
+#     events/epoch   P=8 CPU   P=8 wall   P=16 CPU   P=16 wall
+#            1,000      -52%       -19%       -50%        -14%
+#            2,000      -44%       -12%       -42%         +1%
+#            4,000      -52%       -15%       -44%         +1%
+#            8,000      -42%        +0%       -37%        +15%
+#           16,000      -37%        +9%       -35%        +12%
+#
+# 4096 is the largest power of two at which inlining costs no wall time
+# at either P: above it the fan-out's parallel merges win the wall back.
+INLINE_EPOCH_ROWS = 4096
+
+
+def _inline_files(wal) -> list[str] | None:
+    """``wal`` as a list of files if the driver may map it itself:
+    Parquet files whose footers sum to at most :data:`INLINE_EPOCH_ROWS`
+    rows. ``None`` for a Dataset, for a file with no footer to count
+    (JSONL, or unreadable) and for a larger epoch."""
+    files = [wal] if isinstance(wal, str) else wal
+    if not isinstance(files, list):
+        return None
+    total = 0
+    for f in files:
+        n = _footer_rows(f)
+        if n is None or total + n > INLINE_EPOCH_ROWS:
+            return None
+        total += n
+    return files
+
+
 def apply_epoch(
     lake: Lake,
     epoch: int,
@@ -475,16 +532,31 @@ def apply_epoch(
     that fed them; the merges are :func:`per_partition`'s exchange mode,
     one :func:`_merge_part` per partition, one task per group.
 
+    Without ``map_refs``, an epoch of Parquet files with at most
+    :data:`INLINE_EPOCH_ROWS` rows that compacts no partition runs in
+    the driver: one :func:`_map_files` over its files, then each
+    partition's :func:`_merge_part` in pid order. These are the fan-out's
+    kernels, so the rows, files and commit are the same; a delta reads
+    no prior state, so the driver's work is O(epoch). Anything else
+    fans out.
+
     A salted lake with views (``cfg.views``) raises ``ValueError``
     before anything is staged (:func:`_reject_salted_views`)."""
+    return _apply_epoch(lake, epoch, wal, cfg, map_refs)[0]
+
+
+def _apply_epoch(
+    lake: Lake, epoch: int, wal, cfg: EngineConfig | None, map_refs: list | None
+) -> tuple[dict[int, MergeStats] | None, int]:
+    """:func:`apply_epoch`, plus the number of unreadable WAL files the
+    epoch's map stage skipped (keep-going policy), whichever way it ran;
+    0 for an epoch already committed."""
     import ray
 
     cfg = cfg or EngineConfig(num_partitions=lake.num_partitions)
     _reject_salted_views(cfg.views, lake.salt_keys)
     if lake.is_committed(epoch):
-        return None
-
-    mats = map_refs if map_refs is not None else submit_map_stage(lake, wal, cfg)
+        return None, 0
 
     from ..functions.metrics import select_metrics
 
@@ -525,9 +597,22 @@ def apply_epoch(
         # a delta reads no prior state and writes no views
         jobs.append((pid, prior if compact else [], lsns.get(pid, -1),
                      cfg.views if compact else ()))
-    refs = per_partition(_merge_part, jobs, lake.root, epoch, mnames,
-                         exchange=mats)
-    rows = [r for r in ray.get(refs) if r is not None]
+    # a compaction reads whole prior compositions: it fans out
+    files = None
+    if map_refs is None and not any(compacted.values()):
+        files = _inline_files(wal)
+    if files is not None:  # the inline branch
+        slices, skipped = _map_files(files, lake.num_partitions, lake.salt_keys,
+                                     lake.salt_factor, cfg.continue_on_error)
+        rows = [_merge_part(*job, lake.root, epoch, mnames, [slices[job[0]]])
+                for job in jobs]
+    else:
+        mats = map_refs if map_refs is not None else submit_map_stage(lake, wal, cfg)
+        rows = ray.get(per_partition(_merge_part, jobs, lake.root, epoch,
+                                     mnames, exchange=mats))
+        # last return slot of every map task = its skip count
+        skipped = sum(ray.get([m[-1] for m in mats]))
+    rows = [r for r in rows if r is not None]
     for row in rows:
         pid = row["pid"]
         # a compacted entry replaces the composition; a delta appends to
@@ -539,7 +624,7 @@ def apply_epoch(
         "num_partitions": lake.num_partitions,
         "salt_factor": lake.salt_factor,
         "salted_keys": len(lake.salt_keys),
-    })
+    }), skipped
 
 
 def _view_names(entries: dict[int, dict]) -> tuple[str, ...]:
@@ -619,13 +704,15 @@ def run_job(
     salt_keys: frozenset[str] = frozenset(),
 ) -> dict:
     """Tail the whole WAL: apply every epoch in order, skipping committed
-    ones (resume). Map stages for up to ``cfg.epoch_lookahead`` future
-    epochs run while the current epoch merges/commits — the streaming
-    overlap that keeps workers busy across the per-epoch commit barrier.
+    ones (resume). With more than one epoch pending, map stages for up
+    to ``cfg.epoch_lookahead`` future epochs run while the current epoch
+    merges/commits — the streaming overlap that keeps workers busy
+    across the per-epoch commit barrier. A lone pending epoch (a
+    follower's steady state) has nothing to overlap with: it goes to
+    :func:`apply_epoch` with no map refs, which runs a small delta
+    epoch in the driver.
     Returns the run summary (events/s, counts) — the engine's version of
     the reference's end-of-run summary (/root/reference/ir:606-617)."""
-    import ray
-
     cfg = cfg or EngineConfig()
     if not os.path.exists(os.path.join(lake_dir, "_lake.json")):
         # before a new lake saves salt keys that would then reject views
@@ -669,17 +756,17 @@ def run_job(
 
     inflight: dict[int, list] = {}
     hot_totals: dict[str, int] = {}
-    for e in pending[: cfg.epoch_lookahead + 1]:
-        inflight[e] = submit_map_stage(lake, epochs[e], cfg)
+    if len(pending) > 1:  # a later epoch to overlap with
+        for e in pending[: cfg.epoch_lookahead + 1]:
+            inflight[e] = submit_map_stage(lake, epochs[e], cfg)
     for i, e in enumerate(pending):
         nxt = i + cfg.epoch_lookahead + 1
         if nxt < len(pending) and pending[nxt] not in inflight:
             inflight[pending[nxt]] = submit_map_stage(lake, epochs[pending[nxt]], cfg)
-        refs = inflight.pop(e)
-        res = apply_epoch(lake, e, epochs[e], cfg, map_refs=refs)
-        # last return slot of every map task = its unreadable-file skip
-        # count (keep-going policy); surfaced in the summary + exit code
-        files_skipped += sum(ray.get([m[-1] for m in refs]))
+        res, skipped = _apply_epoch(lake, e, epochs[e], cfg, inflight.pop(e, None))
+        # unreadable WAL files the keep-going policy skipped: surfaced
+        # in the summary + exit code
+        files_skipped += skipped
         if res is None:
             skipped_epochs += 1
         else:

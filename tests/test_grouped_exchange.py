@@ -199,7 +199,10 @@ def test_every_partition_stage_is_independent_of_group_count(
         root = tmp_path / f"G{G}"
         lake = Lake(str(root / "lake"), num_partitions=8)
         for e, files in cdc.discover_epochs(wal_dir).items():
-            cdc.apply_epoch(lake, e, files, cfg)
+            # map refs keep every epoch merge on the exchange (a lone
+            # small delta epoch would otherwise run in the driver)
+            refs = cdc.submit_map_stage(lake, files, cfg)
+            cdc.apply_epoch(lake, e, files, cfg, map_refs=refs)
         assert cdc.gc_tombstones(lake, before_lsn=3000)["tombstones_dropped"]
         ts = cdc.canonical_state_table(lake).column("ts").cast(pa.int64())
         cutoff = int(pc.approximate_median(ts).as_py())
