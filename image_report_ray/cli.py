@@ -70,6 +70,14 @@ def _fail(owned: bool, error: str) -> int:
     return 1
 
 
+def _views_arg(args: argparse.Namespace) -> "tuple[str, ...] | None":
+    """``--views`` as a view set; ``None`` when absent (an existing
+    lake keeps its declared set)."""
+    if args.views is None:
+        return None
+    return tuple(v for v in args.views.split(",") if v)
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     from .sources.synth import write_wal
 
@@ -98,24 +106,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         metrics=args.metrics,
         merge_mode=args.merge_mode,
         compact_every=args.compact_every,
-        compact_rows_factor=getattr(args, "compact_rows_factor", None),
-        views=tuple(v for v in (args.views or "").split(",") if v),
     )
     owns = _init_ray(args.num_cpus)
     from .pipelines.cdc import run_job, tail_job
 
-    salt_keys = frozenset(args.salt_key or [])
+    lake_cfg = dict(salt_keys=frozenset(args.salt_key or []),
+                    views=_views_arg(args))
     try:
         if getattr(args, "follow", False):
             summary = tail_job(
-                args.lake_dir, args.wal_dir, cfg, salt_keys=salt_keys,
+                args.lake_dir, args.wal_dir, cfg, **lake_cfg,
                 poll_interval=args.poll_interval,
                 idle_timeout=args.idle_timeout,
             )
         else:
-            summary = run_job(args.lake_dir, args.wal_dir, cfg,
-                              salt_keys=salt_keys)
-    except ValueError as exc:  # e.g. a P mismatch, views on a salted lake
+            summary = run_job(args.lake_dir, args.wal_dir, cfg, **lake_cfg)
+    except ValueError as exc:  # e.g. a P or view-set mismatch, a bad view
         logging.getLogger("image_report_ray").debug("run failed", exc_info=True)
         return _fail(owns, str(exc))
     print(json.dumps(summary))
@@ -215,14 +221,18 @@ def cmd_expire(args: argparse.Namespace) -> int:
 
 def cmd_reshard(args: argparse.Namespace) -> int:
     """Migrate the lake's current state to a new lake with a different
-    partition count (P is immutable per lake); the WAL stream resumes on
-    the new lake at the next epoch number."""
+    partition count or view set (both are fixed per lake); the WAL
+    stream resumes on the new lake at the next epoch number."""
     from .pipelines.cdc import reshard_lake
     from .state.manifest import Lake
 
     src = Lake.open(args.src_lake)
     owns = _init_ray(args.num_cpus)
-    res = reshard_lake(src, args.dst_lake, args.partitions)
+    try:
+        res = reshard_lake(src, args.dst_lake, args.partitions,
+                           views=_views_arg(args))
+    except ValueError as exc:  # e.g. an unknown view, a dst of another P
+        return _fail(owns, str(exc))
     print(json.dumps(res))
     _shutdown_if(owns)
     return 0
@@ -532,11 +542,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     the v2 validation-checklist graft
     (/root/reference/docs/report-schema-v2.md:352-367).
 
-    Listed under ``unverified`` (printed only when non-empty), not under
-    ``problems``, and not failing the audit: the lineage of a GC entry
-    without a ``views`` key (written before GC rewrites wrote lineage
-    reports), and a view carried forward from before the partition's
-    base state file (a compaction run without views)."""
+    Every current entry must carry every view the lake declares, and a
+    view staged with its entry must equal its recompute from the
+    entry's state file. Listed under ``unverified`` (printed only when
+    non-empty), not under ``problems``, and not failing the audit: the
+    lineage of a GC entry without a ``views`` key (written before GC
+    rewrites wrote lineage reports)."""
     import pyarrow.compute as pc
 
     from .state.manifest import Lake, read_state_file
@@ -572,21 +583,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
             problems.append(f"pid {pid}: state digest mismatch vs manifest")
         # the entry's own commit staged its file, views and lineage
         # report under one `<kind>=<num>` directory (an epoch or a
-        # GC/expiry rewrite). Views are staged only with a full state
-        # file, so a view staged there must equal its recompute from `t`.
-        # One carried forward from the base file's stage is the
-        # documented MOR lag (skipped); one older than the base was
-        # carried through a rewrite without views (unverified)
+        # GC/expiry rewrite). Views are staged only with a whole state
+        # file, so a view staged there must equal its recompute from `t`;
+        # one a delta carries from its base is the documented MOR lag
         stage = os.path.basename(os.path.dirname(entry["file"]))
-        base = os.path.basename(os.path.dirname(
-            (entry.get("files") or [entry["file"]])[0]))
-        for vname, vrel in (entry.get("views") or {}).items():
-            vstage = os.path.basename(os.path.dirname(vrel))
-            if vstage != stage:
-                if vstage != base:
-                    unverified.append(f"pid {pid}: view {vname!r} staged at "
-                                      f"{vstage}, before the state base "
-                                      f"{base}; not checked")
+        views = entry.get("views") or {}
+        problems += [f"pid {pid}: declared view {v!r} missing from entry"
+                     for v in lake.views if v not in views]
+        for vname, vrel in views.items():
+            if os.path.basename(os.path.dirname(vrel)) != stage:
                 continue
             from .state.views import VIEW_REGISTRY, maintain_view, sort_view
 
@@ -705,11 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--compact-every", type=positive_int, default=None,
                    help="with --merge-mode mor: epochs per composition "
                         "(base + deltas) before a compaction (default 8)")
-    r.add_argument("--compact-rows-factor", type=float, default=None,
-                   dest="compact_rows_factor",
-                   help="mor: also compact a partition once its delta "
-                        "rows reach this fraction of its base file "
-                        "(size-tiered policy; footer metadata only)")
     r.add_argument("--follow", action="store_true",
                    help="continuous tail: poll for new epochs until "
                         "idle for --idle-timeout seconds")
@@ -723,10 +723,11 @@ def build_parser() -> argparse.ArgumentParser:
              "--hashes flag)",
     )
     r.add_argument(
-        "--views", default="",
-        help="comma-separated materialized views to maintain during the "
-             "run (see state/views.py registry), committed atomically "
-             "with the state",
+        "--views", default=None,
+        help="comma-separated materialized views (state/views.py "
+             "registry) a NEW lake declares; every whole-state write "
+             "stages them atomically with the state. An existing lake "
+             "keeps its set: change it with `reshard --views`",
     )
     r.add_argument("--num-cpus", type=int, default=None)
     r.set_defaults(fn=cmd_run)
@@ -811,11 +812,14 @@ def build_parser() -> argparse.ArgumentParser:
         "reshard",
         parents=[lp],
         help="migrate current state to a new lake with a different "
-             "partition count (the WAL resumes on the new lake)",
+             "partition count or view set (the WAL resumes on the new lake)",
     )
     rs.add_argument("src_lake")
     rs.add_argument("dst_lake")
     rs.add_argument("--partitions", type=positive_int, required=True)
+    rs.add_argument("--views", default=None,
+                    help="comma-separated views the new lake declares "
+                         "(default: the source's); '' declares none")
     rs.add_argument("--num-cpus", type=int, default=None)
     rs.set_defaults(fn=cmd_reshard)
 

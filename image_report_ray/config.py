@@ -115,20 +115,10 @@ class EngineConfig:
                                       # epochs between write only their delta
                                       # (10^10-event path: cost ~ O(delta));
                                       # None: 1 under "cow", 8 under "mor"
-    compact_rows_factor: "float | None" = None
-                                      # ALSO compact a partition once its
-                                      # accumulated delta rows reach this fraction
-                                      # of the base file's rows (size-tiered
-                                      # policy — hot partitions compact early,
-                                      # cold ones coast to the chain-length cap)
     continue_on_error: bool = False   # fail-fast vs keep-going (/root/reference/ir:500-506)
     salt_threshold: int = 50_000      # events/epoch for one conv_id before salt advisory
     salt_factor: int = 4              # hot conversations split into this many sub-routes
     metrics: str = "basic"            # lineage-metric selection (functions/metrics.py DSL)
-    views: tuple = ()                 # materialized views maintained by the merge
-                                      # (state/views.py registry); committed atomically
-                                      # with the state, exact at every compaction
-                                      # (every epoch when compact_every=1)
     # tombstone retention is an explicit watermark, not a config knob:
     # see pipelines.cdc.gc_tombstones / `cli compact --before-lsn`
 
@@ -152,25 +142,8 @@ class EngineConfig:
             raise ValueError(
                 f"epoch_lookahead must be >= 0, got {self.epoch_lookahead}"
             )
-        if self.compact_rows_factor is not None:
-            self.compact_rows_factor = float(self.compact_rows_factor)
-            if self.compact_rows_factor <= 0:
-                raise ValueError(
-                    "compact_rows_factor must be > 0 (None disables), got "
-                    f"{self.compact_rows_factor}"
-                )
         if self.salt_threshold <= 0:
             raise ValueError("salt_threshold must be positive")
-        self.views = tuple(self.views)
-        if self.views:
-            from .state.views import VIEW_REGISTRY
-
-            unknown = [v for v in self.views if v not in VIEW_REGISTRY]
-            if unknown:
-                raise ValueError(
-                    f"unknown view(s) {unknown}; registered: "
-                    f"{sorted(VIEW_REGISTRY)}"
-                )
 
 
 # Default static broadcast tables — the engine analogue of the reference's

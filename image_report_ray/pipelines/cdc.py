@@ -67,12 +67,12 @@ files; then the merge folds it with the epoch into one full state file.
 ``compact_every=1`` (the default, alias ``merge_mode="cow"``) rewrites the
 full state every epoch. The merge, GC/expiry rewrites, reshard and
 bootstrap stage partitions through one writer (``stage_partition``:
-state, views, digest, metrics) and commit through one publish
-(:func:`publish_commit`: lineage reports, then the record), so views
-and lineage survive every rewrite. With more than one epoch pending,
-``run_job`` keeps a bounded lookahead of map stages in flight so epoch
-K+1 reads/compacts while epoch K merges — the WAL never materializes
-fully.
+state, the lake's declared views, digest, metrics) and commit through
+one publish (:func:`publish_commit`: lineage reports, then the record),
+so views and lineage survive every rewrite. With more than one epoch
+pending, ``run_job`` keeps a bounded lookahead of map stages in flight
+so epoch K+1 reads/compacts while epoch K merges — the WAL never
+materializes fully.
 """
 
 from __future__ import annotations
@@ -395,12 +395,13 @@ def _merge_part(pid, prior_paths, prior_lsn, vnames, lake_root, epoch,
     epoch has no events for it (its committed entry stands, and its prior
     state is not read). With ``prior_paths`` it is a compaction: the
     prior composition (base + deltas) is read unfolded and sorted once
-    with the epoch's events into a full state file, and the views
-    ``vnames`` are computed in full over it. Empty ``prior_paths`` (a
-    fresh partition, or a delta epoch, which gets no views) writes the
+    with the epoch's events into a full state file. Empty
+    ``prior_paths`` (a fresh partition, or a delta epoch) writes the
     epoch's winners alone: a delta epoch costs O(delta) and cross-epoch
     resolution happens at fold time (Hudi/Iceberg merge-on-read, public
-    design)."""
+    design). The views ``vnames`` (a whole-state write's: a
+    compaction's, or a fresh partition's) are computed in full over the
+    file written."""
     parts = [p for p in parts if p.num_rows]
     if not parts:
         return None
@@ -469,16 +470,6 @@ def submit_map_stage(
     return split_stage(_map_block, arrow_refs(wal), lake.num_partitions, *args)
 
 
-def _reject_salted_views(views, salt_keys) -> None:
-    """Views need an unsalted lake: salting spreads a conversation over
-    partitions, whose view rows would then be partial (state/views.py)."""
-    if views and salt_keys:
-        raise ValueError(
-            f"views {list(views)} need an unsalted lake: salt keys "
-            f"{sorted(salt_keys)} spread a conversation over partitions"
-        )
-
-
 # The largest epoch the driver maps and merges itself (``apply_epoch``'s
 # inline branch), in WAL rows counted from Parquet footers. Measured on
 # a 4-CPU host (Ray num_cpus=4), delta epochs only (compact_every=8):
@@ -540,8 +531,9 @@ def apply_epoch(
     no prior state, so the driver's work is O(epoch). Anything else
     fans out.
 
-    A salted lake with views (``cfg.views``) raises ``ValueError``
-    before anything is staged (:func:`_reject_salted_views`)."""
+    A partition's whole-state writes (a compaction, or its first file)
+    stage the lake's declared views; a later delta carries its entry's
+    views (the documented merge-on-read view lag)."""
     return _apply_epoch(lake, epoch, wal, cfg, map_refs)[0]
 
 
@@ -554,7 +546,6 @@ def _apply_epoch(
     import ray
 
     cfg = cfg or EngineConfig(num_partitions=lake.num_partitions)
-    _reject_salted_views(cfg.views, lake.salt_keys)
     if lake.is_committed(epoch):
         return None, 0
 
@@ -571,32 +562,13 @@ def _apply_epoch(
     compacted: dict[int, bool] = {}
     for pid in range(lake.num_partitions):
         prior = [os.path.join(lake.root, r) for r in rel_sets.get(pid, [])]
-        # A delta unless the composition is due for compaction
-        # (compact_every=1 folds-and-rewrites every epoch). The
-        # row-based policy (size-tiered: hot partitions compact as soon
-        # as their delta chain outgrows compact_rows_factor x base rows,
-        # cold ones coast to the chain-length cap) reads only parquet
-        # FOOTERS — metadata, never data.
-        compact = len(prior) + 1 >= cfg.compact_every
-        if (
-            not compact
-            and cfg.compact_rows_factor is not None
-            and len(prior) > 1
-        ):
-            try:
-                base_rows = pq.read_metadata(prior[0]).num_rows
-                delta_rows = sum(
-                    pq.read_metadata(p).num_rows for p in prior[1:]
-                )
-                compact = delta_rows >= cfg.compact_rows_factor * max(
-                    base_rows, 1
-                )
-            except (pa.ArrowInvalid, OSError):
-                pass  # unreadable footer: fall back to the length cap
-        compacted[pid] = compact
-        # a delta reads no prior state and writes no views
+        # a delta unless the composition is due for compaction
+        # (compact_every=1 folds-and-rewrites every epoch)
+        compact = compacted[pid] = len(prior) + 1 >= cfg.compact_every
+        # a delta reads no prior state; it stages views only as the
+        # partition's first file, which is then its whole state
         jobs.append((pid, prior if compact else [], lsns.get(pid, -1),
-                     cfg.views if compact else ()))
+                     lake.views if compact or not prior else ()))
     # a compaction reads whole prior compositions: it fans out
     files = None
     if map_refs is None and not any(compacted.values()):
@@ -616,20 +588,15 @@ def _apply_epoch(
     for row in rows:
         pid = row["pid"]
         # a compacted entry replaces the composition; a delta appends to
-        # it and carries the last commit's views (the documented view lag)
-        if not compacted[pid]:
-            row["files"] = rel_sets.get(pid, []) + row["files"]
-        row["views"] = row["views"] or (current.get(pid, {}).get("views") or {})
+        # it and carries its entry's views (the documented view lag)
+        if not compacted[pid] and pid in current:
+            row["files"] = rel_sets[pid] + row["files"]
+            row["views"] = current[pid].get("views") or {}
     return publish_commit(lake, "epoch", epoch, rows, {
         "num_partitions": lake.num_partitions,
         "salt_factor": lake.salt_factor,
         "salted_keys": len(lake.salt_keys),
     }), skipped
-
-
-def _view_names(entries: dict[int, dict]) -> tuple[str, ...]:
-    """The views any of ``entries`` carries: what a rewrite restages."""
-    return tuple(sorted({v for e in entries.values() for v in e.get("views") or {}}))
 
 
 def publish_commit(
@@ -702,28 +669,28 @@ def run_job(
     cfg: EngineConfig | None = None,
     *,
     salt_keys: frozenset[str] = frozenset(),
+    views: "tuple[str, ...] | None" = None,
 ) -> dict:
     """Tail the whole WAL: apply every epoch in order, skipping committed
-    ones (resume). With more than one epoch pending, map stages for up
-    to ``cfg.epoch_lookahead`` future epochs run while the current epoch
-    merges/commits — the streaming overlap that keeps workers busy
-    across the per-epoch commit barrier. A lone pending epoch (a
+    ones (resume). ``salt_keys`` and ``views`` are lake config, fixed
+    when the lake is made (:class:`Lake`); ``views=None`` on an existing
+    lake takes its declared set. With more than one epoch pending, map
+    stages for up to ``cfg.epoch_lookahead`` future epochs run while the
+    current epoch merges/commits — the streaming overlap that keeps
+    workers busy across the per-epoch commit barrier. A lone pending epoch (a
     follower's steady state) has nothing to overlap with: it goes to
     :func:`apply_epoch` with no map refs, which runs a small delta
     epoch in the driver.
     Returns the run summary (events/s, counts) — the engine's version of
     the reference's end-of-run summary (/root/reference/ir:606-617)."""
     cfg = cfg or EngineConfig()
-    if not os.path.exists(os.path.join(lake_dir, "_lake.json")):
-        # before a new lake saves salt keys that would then reject views
-        _reject_salted_views(cfg.views, salt_keys)
     lake = Lake(
         lake_dir,
         num_partitions=cfg.num_partitions,
         salt_keys=salt_keys,
         salt_factor=cfg.salt_factor,
+        views=views,
     )
-    _reject_salted_views(cfg.views, lake.salt_keys)
     epochs = discover_epochs(wal_dir)
     # skip everything at or below the newest commit, not just exact
     # members: commits are sequential so the set is a prefix in normal
@@ -837,8 +804,8 @@ def _maintenance_rewrite(
     lake: Lake, drop, arg, *, commit_noop: bool
 ) -> tuple[int | None, int, int]:
     """Rewrite every partition's current state, one ``_rewrite_part`` per
-    partition (:func:`per_partition`), restaging every view the current
-    entries carry, and publish the result (:func:`publish_commit`) as a
+    partition (:func:`per_partition`), restaging the lake's declared
+    views, and publish the result (:func:`publish_commit`) as a
     ``gc=N`` commit with a lineage report per partition. It folds after
     the epochs it compacted and before any later WAL epoch (see
     ``Lake.current_entries``); a crash before the record lands leaves
@@ -859,7 +826,7 @@ def _maintenance_rewrite(
         for pid, e in sorted(current.items())
     ]
     rows = ray.get(per_partition(_rewrite_part, jobs, lake.root, seq, drop,
-                                 arg, _view_names(current)))
+                                 arg, lake.views))
     dropped = sum(r["params"]["rows_dropped"] for r in rows)
     if not dropped and not commit_noop:
         # the staged files of this no-op stay invisible, same as any
@@ -1029,23 +996,24 @@ def _write_migrated(pid: int, root: str, epoch: int, last_lsn: int,
 
 
 def _migrate(dst: Lake, epoch: int, splits: list, last_lsn: int,
-             unique_keys: bool, views: tuple, params: dict) -> int:
+             unique_keys: bool, params: dict) -> int:
     """Shared tail of the state migrations: one :func:`_write_migrated`
     per destination partition consumes its slices of the split tasks
-    (:func:`per_partition`'s exchange mode); then
-    :func:`publish_commit`. Returns total keys written."""
+    (:func:`per_partition`'s exchange mode), staging ``dst``'s declared
+    views; then :func:`publish_commit`. Returns total keys written."""
     import ray
 
     jobs = [(pid,) for pid in range(dst.num_partitions)]
     rows = [r for r in ray.get(per_partition(
-        _write_migrated, jobs, dst.root, epoch, last_lsn, unique_keys, views,
-        exchange=splits,
+        _write_migrated, jobs, dst.root, epoch, last_lsn, unique_keys,
+        dst.views, exchange=splits,
     )) if r is not None]
     publish_commit(dst, "epoch", epoch, rows, params)
     return sum(r["keys_total"] for r in rows)
 
 
-def reshard_lake(src: Lake, dst_root: str, new_partitions: int) -> dict:
+def reshard_lake(src: Lake, dst_root: str, new_partitions: int, *,
+                 views: "tuple[str, ...] | None" = None) -> dict:
     """Migrate the lake's CURRENT state to a NEW lake with a different
     partition count. P is immutable for a lake's lifetime (manifest.py
     enforces it), so growing a deployment is a state MIGRATION — this is
@@ -1062,20 +1030,27 @@ def reshard_lake(src: Lake, dst_root: str, new_partitions: int) -> dict:
     ``last_lsn``, so LWW, staleness and exactly-once semantics hold for
     anything delivered after the cutover. The migration commits at the
     source's max committed epoch, so the WAL stream resumes at the next
-    epoch number with no renumbering."""
+    epoch number with no renumbering.
+
+    The destination declares ``views`` (``None`` keeps the source's
+    set) and stages each in full: changing a lake's view set is this
+    migration, to the same or another partition count."""
     src_entries = src.current_entries()
     if not src_entries:
         raise ValueError("source lake has no committed state")
     global_lsn = max(int(e["last_lsn"]) for e in src_entries.values())
     epoch = max(src.committed_epochs())
-    dst = Lake(dst_root, num_partitions=new_partitions)
+    dst = Lake(dst_root, num_partitions=new_partitions,
+               views=src.views if views is None else views)
+    if dst.committed_epochs():  # its commit would replace one of theirs
+        raise ValueError("reshard target lake already has commits")
     splits = split_stage(
         _split_state,
         [paths for _, paths in sorted(src.current_file_sets().items())],
         new_partitions,
     )
     moved = _migrate(
-        dst, epoch, splits, global_lsn, False, _view_names(src_entries),
+        dst, epoch, splits, global_lsn, False,
         {"num_partitions": new_partitions,
          "resharded_from": src.num_partitions},
     )
@@ -1110,7 +1085,7 @@ def bootstrap_lake(
         _split_boot, arrow_refs(rd.read_parquet(src_parquet)), num_partitions
     )
     loaded = _migrate(
-        lake, epoch, splits, -1, True, (),
+        lake, epoch, splits, -1, True,
         {"num_partitions": num_partitions, "bootstrap": True},
     )
     return {"epoch": int(epoch), "rows_loaded": int(loaded)}
@@ -1423,6 +1398,7 @@ def tail_job(
     cfg: EngineConfig | None = None,
     *,
     salt_keys: frozenset[str] = frozenset(),
+    views: "tuple[str, ...] | None" = None,
     poll_interval: float = 0.5,
     idle_timeout: float = 10.0,
 ) -> dict:
@@ -1441,7 +1417,8 @@ def tail_job(
               "passes": 0}
     last_new = time.monotonic()
     while True:
-        summary = run_job(lake_dir, wal_dir, cfg, salt_keys=salt_keys)
+        summary = run_job(lake_dir, wal_dir, cfg, salt_keys=salt_keys,
+                          views=views)
         totals["passes"] += 1
         totals["epochs_applied"] += summary["epochs_applied"]
         totals["events_received"] += summary["events_received"]

@@ -33,15 +33,18 @@ from ._util import arrow_refs, finalize
 _P = 8  # partitions for the query-scale lakes
 
 
-def _shared_lake(sf_dir: str, variant: str, build) -> Lake:
+def _shared_lake(sf_dir: str, variant: str, build, views: tuple = ()) -> Lake:
     """Return the committed lake for ``variant``, building it once.
 
     ``build(lake)`` runs the replay (choosing its own EngineConfig)
-    into the cache's private build dir; queries only fold the published
-    lake."""
-    path = cache.entry(f"lake-{variant}", sf_dir, "events.parquet", f"P={_P}")
+    into the cache's private build dir, a lake declaring ``views``;
+    queries only fold the published lake. The entry's params name the
+    view set, so a lake cached without it is never served."""
+    params = f"P={_P}" + (f" views={','.join(views)}" if views else "")
+    path = cache.entry(f"lake-{variant}", sf_dir, "events.parquet", params)
     cache.get_or_build(
-        path, lambda tmp: build(Lake(tmp, num_partitions=_P)), lambda _: None
+        path, lambda tmp: build(Lake(tmp, num_partitions=_P, views=views)),
+        lambda _: None,
     )
     return Lake(path, num_partitions=_P)
 
@@ -196,8 +199,8 @@ def cdc_conv_summary(sf_dir: str) -> pa.Table:
 
 def cdc_conv_summary_view(sf_dir: str) -> pa.Table:
     """Same answer as :func:`cdc_conv_summary`, but MATERIALIZED BY THE
-    ENGINE: the replay registers the ``conv_summary`` view
-    (``EngineConfig.views``), so each partition's merge task computes
+    ENGINE: the replay's lake declares the ``conv_summary`` view
+    (``Lake(views=...)``), so each partition's merge task computes
     its summary over the post-merge state and the commit publishes state
     + view atomically (state/views.py). The query then just reads the
     committed view files — no post-hoc aggregation pass at all. Shares
@@ -206,9 +209,9 @@ def cdc_conv_summary_view(sf_dir: str) -> pa.Table:
 
     def build(lake: Lake) -> None:
         apply_epoch(lake, 0, changelog_dataset(sf_dir),
-                    EngineConfig(num_partitions=_P, views=("conv_summary",)))
+                    EngineConfig(num_partitions=_P))
 
-    lake = _shared_lake(sf_dir, "full-views", build)
+    lake = _shared_lake(sf_dir, "full-views", build, ("conv_summary",))
     return finalize(read_view(lake, "conv_summary"), [("conv_id", "ascending")])
 
 

@@ -12,7 +12,7 @@ committed. The deterministic-output-name idea is the reference's
 Layout::
 
     lake/
-      _lake.json                         # immutable lake config (P, salt, versions)
+      _lake.json                         # immutable lake config (P, salt, views, versions)
       _commits/epoch=00004.json          # commit record (atomic rename = commit point)
       data/epoch=00004/pid=00003.parquet # pid 3's state (or MOR delta) as of epoch 4
       views/<view>/epoch=00004/pid=00003.parquet  # a view staged with it
@@ -43,7 +43,7 @@ from ..functions.metrics import compute_metrics
 from ..schema import DELETED_COL, LSN_COL
 from .merge import (
     DIGEST_ALGO, MergeStats, _np, fold_canonical, fold_state_tables, table_digest)
-from .views import maintain_view
+from .views import VIEW_REGISTRY, maintain_view
 
 _COMMIT_RE = re.compile(r"^epoch=(\d+)\.json$")
 _GC_RE = re.compile(r"^gc=(\d+)\.json$")
@@ -76,7 +76,14 @@ class LakeNotFoundError(FileNotFoundError):
 
 
 class Lake:
-    """A partitioned, transactionally-committed Parquet state lake."""
+    """A partitioned, transactionally-committed Parquet state lake.
+
+    Its config is fixed when it is made: the partition count, the salt
+    keys and the materialized views it declares (``views``, names in
+    ``state/views.py``'s registry; none on a salted lake). Every writer
+    of a whole partition state stages the declared views with it. On an
+    existing lake ``views=None`` takes the declared set; a different set
+    raises, as a different P does."""
 
     def __init__(
         self,
@@ -85,9 +92,11 @@ class Lake:
         num_partitions: int | None = None,
         salt_keys: frozenset[str] = frozenset(),
         salt_factor: int = 4,
+        views: "tuple[str, ...] | None" = None,
     ) -> None:
         self.root = root
         cfg_path = os.path.join(root, "_lake.json")
+        want = None if views is None else tuple(sorted(set(views)))
         if os.path.exists(cfg_path):
             with open(cfg_path) as f:
                 cfg = json.load(f)
@@ -99,28 +108,44 @@ class Lake:
             self.num_partitions = cfg["num_partitions"]
             self.salt_keys = frozenset(cfg["salt_keys"])
             self.salt_factor = cfg["salt_factor"]
+            self.views = tuple(cfg.get("views", ()))
+            if want is not None and want != self.views:
+                raise ValueError(
+                    f"lake declares views {list(self.views)}, asked for "
+                    f"{list(want)}; the view set is fixed for a lake's "
+                    "lifetime: reshard to change it"
+                )
         else:
             if num_partitions is None:
                 raise ValueError("new lake needs num_partitions")
             self.num_partitions = num_partitions
             self.salt_keys = frozenset(salt_keys)
             self.salt_factor = salt_factor
+            self.views = want or ()
+            unknown = [v for v in self.views if v not in VIEW_REGISTRY]
+            if unknown:
+                raise ValueError(f"unknown view(s) {unknown}; registered: "
+                                 f"{sorted(VIEW_REGISTRY)}")
+            if self.views and self.salt_keys:
+                raise ValueError(
+                    f"views {list(self.views)} need an unsalted lake: salt "
+                    f"keys {sorted(self.salt_keys)} spread a conversation "
+                    "over partitions"
+                )
             os.makedirs(os.path.join(root, "_commits"), exist_ok=True)
             os.makedirs(os.path.join(root, "data"), exist_ok=True)
+            cfg = {
+                "num_partitions": self.num_partitions,
+                "salt_keys": sorted(self.salt_keys),
+                "salt_factor": self.salt_factor,
+                "engine_version": VERSION,
+                "state_format_version": STATE_FORMAT_VERSION,
+            }
+            if self.views:
+                cfg["views"] = list(self.views)
             tmp = cfg_path + ".tmp"
             with open(tmp, "w") as f:
-                json.dump(
-                    {
-                        "num_partitions": self.num_partitions,
-                        "salt_keys": sorted(self.salt_keys),
-                        "salt_factor": self.salt_factor,
-                        "engine_version": VERSION,
-                        "state_format_version": STATE_FORMAT_VERSION,
-                    },
-                    f,
-                    indent=2,
-                    sort_keys=True,
-                )
+                json.dump(cfg, f, indent=2, sort_keys=True)
             os.replace(tmp, cfg_path)
 
     @classmethod
@@ -269,11 +294,11 @@ class Lake:
 
     def current_view_files(self, name: str) -> dict[int, str]:
         """pid -> absolute path of the partition's committed materialized
-        view file (state/views.py). A compaction, a GC/expiry rewrite or a
-        migration stages the partition's views with its state; a
-        merge-on-read delta epoch carries the previous entry's views
-        forward. A partition with no compaction, rewrite or migration
-        since the view was registered carries none and is absent."""
+        view file (state/views.py). Every write of a whole partition
+        state (a compaction, a partition's first file, a GC/expiry
+        rewrite, a migration) stages the lake's declared views with it;
+        a merge-on-read delta carries its entry's views. So every
+        current partition carries every declared view."""
         out: dict[int, str] = {}
         for pid, e in self.current_entries().items():
             rel = (e.get("views") or {}).get(name)

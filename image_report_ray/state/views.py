@@ -1,33 +1,36 @@
 """Materialized views over the CDC lake.
 
 A registered view is a pure function ``state_partition -> summary table``
-computed BY THE PARTITION WRITER (``manifest.stage_partition``): every
-writer that stages a full state file (a compaction, a GC/expiry rewrite,
-a migration) computes each view in full over that state and stages it
-under a deterministic name; the commit record then publishes state and
-view files in ONE atomic rename — the view can never be observed
+computed BY THE PARTITION WRITER (``manifest.stage_partition``). The
+views are lake config: a lake declares its set when it is made
+(``Lake(..., views=...)``, recorded in ``_lake.json`` like P and the
+salt keys), and changing the set is a migration (``reshard_lake``).
+Every writer that stages a whole partition state (a compaction, a
+partition's first file, a GC/expiry rewrite, a migration) computes each
+declared view in full over that state and stages it under a
+deterministic name; the commit record then publishes state and view
+files in ONE atomic rename — the view can never be observed
 inconsistent with the state it summarizes (and Ray task retries
 overwrite the same staged paths, so exactly-once carries over
 unchanged). There is one path: a view never patches an older view
 file, so a view a writer stages is always exact for the state it
-stages with it, even after epochs that ran without views.
+stages with it.
 
-Freshness contract: with ``compact_every=1`` every epoch compacts, so
-views are exact after every commit. Delta epochs skip the view (a delta
-alone cannot produce it); the manifest carries the last written view
-files forward, so a view read between compactions reflects the last
-compaction point — the standard materialized-view lag of merge-on-read
-lakes. A compaction run without views carries the older view forward
-the same way, so until the next writer with views it is served as of
-its own epoch (``cli validate`` checks only views staged with their
-entry).
+Freshness contract: a view is exact at each whole-state write. With
+``compact_every=1`` every epoch compacts, so views are exact after
+every commit. A merge-on-read delta alone cannot produce the view, so
+a delta entry carries its partition's last view (staged with the
+composition's base file): a view read between compactions reflects the
+partition's last whole-state write — the standard materialized-view
+lag of merge-on-read lakes. Every current partition carries every
+declared view, so :func:`read_view` is never partial.
 
 Views need unsalted routing: pid routing then keeps a conversation in
 one partition, so each partition's view rows are globally final and the
 lake's view is the partitions' view files concatenated
 (:func:`read_view`). A salted lake spreads a hot conversation over
-partitions, which would commit partial rows; ``apply_epoch`` rejects
-views on one.
+partitions, which would commit partial rows; ``Lake`` rejects views on
+one.
 """
 
 from __future__ import annotations
@@ -100,9 +103,12 @@ def read_view(lake, name: str) -> pa.Table:
     """The lake's committed view ``name``: its partitions' view files
     concatenated in pid order (each in its view's key order), or an
     empty table with the view's schema when every file is empty. Raises
-    ``KeyError`` when no partition carries the view. A partition's file
-    is as of its last writer with views: a delta epoch or a compaction
-    run without views carries it forward (see the freshness contract)."""
+    ``KeyError`` for a name the lake does not declare, or before its
+    first commit. A partition's file is as of its last whole-state
+    write: a delta carries it forward (see the freshness contract)."""
+    if name not in lake.views:
+        raise KeyError(f"lake declares no view {name!r} "
+                       f"(declared: {list(lake.views)})")
     files = lake.current_view_files(name)
     if not files:
         raise KeyError(f"no committed view {name!r} in this lake")

@@ -986,9 +986,9 @@ def test_zombie_merge_retry_is_byte_idempotent(ray_session, tmp_path, wal):
     )
     from image_report_ray.schema import concat_evolving
 
-    cfg = EngineConfig(num_partitions=4, views=("conv_summary",))
+    cfg = EngineConfig(num_partitions=4)
     lake_dir = str(tmp_path / "lake")
-    run_job(lake_dir, wal, cfg)
+    run_job(lake_dir, wal, cfg, views=("conv_summary",))
     lake = Lake(lake_dir)
 
     def sha(p):

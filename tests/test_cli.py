@@ -139,6 +139,8 @@ def test_run_partition_mismatch_is_one_json_error(ray_session, tmp_path,
     ["run", "{lake}", "{wal}", "--partitions", "3"],
     ["run", "{new}", "{wal}", "--partitions", "2", "--salt-key", "hot",
      "--views", "conv_summary"],
+    ["run", "{lake}", "{wal}", "--views", "conv_summary"],
+    ["reshard", "{lake}", "{new}", "--partitions", "2"],
     ["export", "{lake}", "{out}", "--view", "conv_summary", "--as-of", "0"],
     ["export", "{lake}", "{out}", "--view", "conv_summary"],
     ["changefeed", "{lake}", "--cursor", "{out}", "--from-epoch", "0"],

@@ -219,9 +219,9 @@ def test_vacuum_deletes_superseded_view_files(ray_session, tmp_path):
     wal = str(tmp_path / "wal")
     gen = dict(seed=9, max_turns=6)
     write_wal(wal, n_epochs=3, epoch_size=600, n_convs=60, **gen)
-    lake = Lake(str(tmp_path / "lake"), num_partitions=4)
-    cfg = EngineConfig(num_partitions=4, merge_mode="mor", compact_every=2,
-                       views=("conv_summary",))
+    lake = Lake(str(tmp_path / "lake"), num_partitions=4,
+                views=("conv_summary",))
+    cfg = EngineConfig(num_partitions=4, merge_mode="mor", compact_every=2)
     for e in range(3):
         apply_epoch(lake, e, sorted(glob.glob(f"{wal}/epoch={e:05d}/*")), cfg)
     # expire every turn before epoch 3, which touches only half of the

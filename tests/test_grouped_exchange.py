@@ -46,12 +46,13 @@ def test_results_do_not_depend_on_group_count(ray_session, tmp_path, monkeypatch
         ["conv_id", "turn_idx", "lsn"]).aggregate([]).num_rows
     assert repeats > 0
     cfg = EngineConfig(num_partitions=8, merge_mode="mor", compact_every=2,
-                       map_task_rows=1000, views=("conv_summary",))
+                       map_task_rows=1000)
     expect = apply_naive(full_changelog(2, 4000, **GEN))
     results = {}
     for G in (1, 2, 4, 8):
         monkeypatch.setattr(cdc, "_group_count", lambda P, G=G: G)
-        lake = Lake(str(tmp_path / f"lake{G}"), num_partitions=8)
+        lake = Lake(str(tmp_path / f"lake{G}"), num_partitions=8,
+                    views=("conv_summary",))
         ledgers = []
         for e, files in epochs.items():
             refs = cdc.submit_map_stage(lake, files, cfg)
@@ -192,12 +193,13 @@ def test_every_partition_stage_is_independent_of_group_count(
     pq.write_table(apply_naive(full_changelog(3, 1500, **GEN)), corpus)
     sf = _events_dir(tmp_path / "sf")
     cfg = EngineConfig(num_partitions=8, merge_mode="mor", compact_every=2,
-                       map_task_rows=1000, views=("conv_summary",))
+                       map_task_rows=1000)
     results = {}
     for G in (1, 2, 4):
         monkeypatch.setattr(cdc, "_group_count", lambda n, G=G: min(n, G))
         root = tmp_path / f"G{G}"
-        lake = Lake(str(root / "lake"), num_partitions=8)
+        lake = Lake(str(root / "lake"), num_partitions=8,
+                    views=("conv_summary",))
         for e, files in cdc.discover_epochs(wal_dir).items():
             # map refs keep every epoch merge on the exchange (a lone
             # small delta epoch would otherwise run in the driver)

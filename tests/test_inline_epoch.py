@@ -26,8 +26,7 @@ from image_report_ray.state.oracle import apply_naive
 GEN = dict(seed=21, n_convs=60, max_turns=8, dup_rate=0.05,
            op_mix=(0.5, 0.3, 0.2), evolve_from_epoch=3)
 VIEWS = ("conv_summary", "role_counts")
-MOR = EngineConfig(num_partitions=8, merge_mode="mor", compact_every=3,
-                   views=VIEWS)
+MOR = EngineConfig(num_partitions=8, merge_mode="mor", compact_every=3)
 
 
 def _spy_remotes(monkeypatch) -> list:
@@ -94,7 +93,7 @@ def _follow(root: str, epochs: list[pa.Table]) -> dict:
             ts = cdc.canonical_state_table(lake).column("ts").cast(pa.int64())
             assert cdc.expire_turns(lake, int(pc.min(ts).as_py()) + 1)["expired"]
         _write_epoch(wal, e, t)
-        summary = cdc.run_job(lake_dir, wal, MOR)
+        summary = cdc.run_job(lake_dir, wal, MOR, views=VIEWS)
         assert summary["epochs_applied"] == 1 and summary["files_skipped"] == 0
         if e == len(epochs) - 2:  # the follower's state is the replay's
             assert cdc.canonical_state_table(Lake(lake_dir)).equals(
@@ -196,14 +195,15 @@ def test_inline_epoch_resumes_after_a_crash(ray_session, tmp_path,
     ref = str(tmp_path / "ref")
     for e, t in enumerate(epochs):
         _write_epoch(os.path.join(ref, "wal"), e, t)
-        cdc.run_job(os.path.join(ref, "lake"), os.path.join(ref, "wal"), MOR)
+        cdc.run_job(os.path.join(ref, "lake"), os.path.join(ref, "wal"), MOR,
+                    views=VIEWS)
     want = {p: e["digest"] for p, e in
             Lake(os.path.join(ref, "lake")).current_entries().items()}
 
     wal, lake_dir = str(tmp_path / "wal"), str(tmp_path / "lake")
     for e, t in enumerate(epochs):
         _write_epoch(wal, e, t)
-        cdc.run_job(lake_dir, wal, MOR)
+        cdc.run_job(lake_dir, wal, MOR, views=VIEWS)
     lake = Lake(lake_dir)
     os.remove(lake.commit_path(1))
     if mode == "inprogress":

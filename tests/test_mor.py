@@ -159,59 +159,3 @@ def test_mor_gc_folds_chain_then_drops(ray_session, tmp_path, wal):
     for paths in lake.current_file_sets().values():
         t = pq.read_table(paths[0])
         assert not t.column("_deleted").to_pylist().count(True)
-
-
-def test_size_tiered_compaction_hot_partition_compacts_early(ray_session, tmp_path):
-    """With compact_rows_factor set, the partition whose delta chain
-    outgrows its base compacts before the chain-length cap while the
-    cold partition keeps coasting on deltas; state stays oracle-equal."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from image_report_ray.config import EngineConfig
-    from image_report_ray.pipelines.cdc import apply_epoch, canonical_state_table
-    from image_report_ray.state.manifest import Lake
-    from image_report_ray.state.oracle import apply_naive
-
-    # conv-A -> pid 0 (hot), conv-D -> pid 1 (cold) at P=2 (crc32 routing)
-    def epoch_table(epoch, hot_rows, cold_rows):
-        n = hot_rows + cold_rows
-        lsn0 = epoch * 10_000
-        conv = ["conv-A"] * hot_rows + ["conv-D"] * cold_rows
-        turn = list(range(epoch * hot_rows, epoch * hot_rows + hot_rows)) + \
-               list(range(epoch * cold_rows, epoch * cold_rows + cold_rows))
-        return pa.table(
-            {"lsn": pa.array(range(lsn0, lsn0 + n), pa.int64()),
-             "op": pa.array(["I"] * n),
-             "conv_id": pa.array(conv),
-             "turn_idx": pa.array(turn, pa.int32()),
-             "role": pa.array(["user"] * n),
-             "text": pa.array([f"t{epoch}-{i}" for i in range(n)]),
-             "tool": pa.array([None] * n, pa.string()),
-             "ts": pa.array([lsn0 + i for i in range(n)], pa.timestamp("us"))}
-        )
-
-    cfg = EngineConfig(
-        num_partitions=2, merge_mode="mor", compact_every=10,
-        compact_rows_factor=0.5,
-    )
-    lake = Lake(str(tmp_path / "lake"), num_partitions=2)
-    # both sides seed a 200-row base; after that the hot side keeps
-    # writing 200-row deltas (ratio 1.0 -> compacts at the next epoch)
-    # while the cold side trickles 2-row deltas (ratio stays ~0.03)
-    tabs = [epoch_table(0, hot_rows=200, cold_rows=200)] + [
-        epoch_table(e, hot_rows=200, cold_rows=2) for e in range(1, 4)
-    ]
-    for e, t in enumerate(tabs):
-        apply_epoch(lake, e, rd.from_arrow(t), cfg)
-
-    sets = Lake(lake.root).current_file_sets()
-    # hot pid 0 compacted mid-stream (fresh base + the newest delta)
-    assert len(sets[0]) < len(sets[1]), sets
-    # cold pid 1 never hit the factor and stayed below the length cap
-    assert len(sets[1]) == 4
-    # correctness unaffected
-    from image_report_ray.schema import concat_evolving
-
-    want = apply_naive(concat_evolving(tabs))
-    assert canonical_state_table(Lake(lake.root)).equals(want)

@@ -56,7 +56,7 @@ def test_views_and_lineage_survive_every_rewrite(ray_session, tmp_path,
     write_wal(wal, n_epochs=4, epoch_size=800, n_parts=1, **GEN)
     src = str(tmp_path / "lake")
     cdc.run_job(src, wal, EngineConfig(num_partitions=4, merge_mode="mor",
-                                       compact_every=3, views=VIEWS))
+                                       compact_every=3), views=VIEWS)
     lake = Lake(src)
     # the head is a delta epoch: its views lag at the compaction point
     assert any(len(p) > 1 for p in lake.current_file_sets().values())
@@ -91,9 +91,9 @@ def test_validate_audits_gc_views_and_lineage(ray_session, tmp_path, capsys):
     fail ``cli validate``."""
     wal = str(tmp_path / "wal")
     paths = write_wal(wal, n_epochs=1, epoch_size=400, n_parts=1, **GEN)
-    lake = Lake(str(tmp_path / "lake"), num_partitions=4)
-    cdc.apply_epoch(lake, 0, paths, EngineConfig(num_partitions=4,
-                                                 views=("conv_summary",)))
+    lake = Lake(str(tmp_path / "lake"), num_partitions=4,
+                views=("conv_summary",))
+    cdc.apply_epoch(lake, 0, paths, EngineConfig(num_partitions=4))
     assert cdc.gc_tombstones(lake, before_lsn=10**9)["gc_seq"] == 0
     assert main(["validate", lake.root]) == 0
 
@@ -123,7 +123,8 @@ def test_rewrites_of_an_emptied_partition(ray_session, tmp_path):
     report with no rows dropped) and the lake still validates."""
     import ray.data as rd
 
-    lake = Lake(str(tmp_path / "lake"), num_partitions=1)
+    lake = Lake(str(tmp_path / "lake"), num_partitions=1,
+                views=("conv_summary",))
     ch = pa.table({
         "lsn": pa.array([0, 1], pa.int64()), "op": ["I", "D"],
         "conv_id": ["a", "a"], "turn_idx": pa.array([0, 0], pa.int32()),
@@ -131,8 +132,7 @@ def test_rewrites_of_an_emptied_partition(ray_session, tmp_path):
         "tool": pa.array([None, None], pa.string()),
         "ts": pa.array([1, 2], pa.timestamp("us")),
     })
-    cdc.apply_epoch(lake, 0, rd.from_arrow(ch),
-                    EngineConfig(num_partitions=1, views=("conv_summary",)))
+    cdc.apply_epoch(lake, 0, rd.from_arrow(ch), EngineConfig(num_partitions=1))
     assert cdc.gc_tombstones(lake, before_lsn=10)["tombstones_dropped"] == 1
     assert cdc.gc_tombstones(lake, before_lsn=10)["gc_seq"] == 1
     assert _rows_dropped(lake, 1) == 0

@@ -61,9 +61,9 @@ def test_every_file_a_mor_lifecycle_writes_has_the_state_layout(
     wal_dir = str(tmp_path / "wal")
     write_wal(wal_dir, n_epochs=5, epoch_size=1200, n_parts=2, **GEN)
     cfg = EngineConfig(num_partitions=4, merge_mode="mor", compact_every=3,
-                       map_task_rows=800,
-                       views=("conv_summary", "role_counts"))
-    cdc.run_job(str(tmp_path / "a"), wal_dir, cfg)
+                       map_task_rows=800)
+    cdc.run_job(str(tmp_path / "a"), wal_dir, cfg,
+                views=("conv_summary", "role_counts"))
     a = Lake(str(tmp_path / "a"))
     assert any(len(p) > 1 for p in a.current_file_sets(as_of=1).values())
     assert cdc.gc_tombstones(a, before_lsn=3000)["gc_seq"] is not None
@@ -127,10 +127,10 @@ def test_old_layout_lakes_keep_working(ray_session, tmp_path, monkeypatch):
     wal_dir = str(tmp_path / "wal")
     write_wal(wal_dir, n_epochs=n_epochs, epoch_size=size, **GEN)
     epochs = cdc.discover_epochs(wal_dir)
-    cfg = EngineConfig(num_partitions=4, merge_mode="mor", compact_every=4,
-                       views=("conv_summary",))
-    old = Lake(str(tmp_path / "old"), num_partitions=4)
-    mixed = Lake(str(tmp_path / "mixed"), num_partitions=4)
+    cfg = EngineConfig(num_partitions=4, merge_mode="mor", compact_every=4)
+    old = Lake(str(tmp_path / "old"), num_partitions=4, views=("conv_summary",))
+    mixed = Lake(str(tmp_path / "mixed"), num_partitions=4,
+                 views=("conv_summary",))
     for e, files in epochs.items():
         for lake in (old, mixed):
             cdc.apply_epoch(lake, e, files, cfg)

@@ -1,10 +1,11 @@
-"""Materialized-view maintenance tests: views are computed by the merge
-over the post-merge state and published atomically with the commit —
-exact every epoch under COW, exact at compaction points under MOR
-(manifest carries the last view forward between compactions), intact
-under idempotent redelivery, restaged by GC rewrites, recomputed in
-full after an epoch without views, rejected on a salted lake, and
-served by one reader (``read_view``)."""
+"""Materialized-view maintenance tests: a lake declares its views when
+it is made; every whole-state write computes them over the state it
+writes and publishes them atomically with the commit — exact every
+epoch under COW, exact at each partition's first file and compaction
+under MOR (a delta carries its entry's view), on every partition,
+intact under idempotent redelivery, restaged by GC rewrites, kept by a
+run that names no views, changed only by a reshard, rejected on a
+salted lake, and served by one reader (``read_view``)."""
 
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import pyarrow.parquet as pq
 import pytest
 
 from image_report_ray.config import EngineConfig
-from image_report_ray.pipelines.cdc import apply_epoch, canonical_state_table
+from image_report_ray.pipelines.cdc import (
+    apply_epoch, canonical_state_table, run_job)
 from image_report_ray.sources.synth import write_wal
 from image_report_ray.state.manifest import Lake
 from image_report_ray.state.views import VIEW_REGISTRY, read_view, sort_view
@@ -45,8 +47,9 @@ def _expected_from_state(lake: Lake) -> pa.Table:
 def test_cow_view_exact_after_every_epoch(ray_session, tmp_path):
     wal = str(tmp_path / "wal")
     paths = write_wal(wal, n_epochs=3, epoch_size=400, n_parts=1, **GEN)
-    lake = Lake(str(tmp_path / "lake"), num_partitions=4)
-    cfg = EngineConfig(num_partitions=4, views=("conv_summary",))
+    lake = Lake(str(tmp_path / "lake"), num_partitions=4,
+                views=("conv_summary",))
+    cfg = EngineConfig(num_partitions=4)
     for epoch, p in enumerate(paths):
         apply_epoch(lake, epoch, [p], cfg)
         assert _read_view(lake).equals(_expected_from_state(lake)), epoch
@@ -55,17 +58,18 @@ def test_cow_view_exact_after_every_epoch(ray_session, tmp_path):
 def test_mor_view_lags_to_compaction_then_exact(ray_session, tmp_path):
     wal = str(tmp_path / "wal")
     paths = write_wal(wal, n_epochs=4, epoch_size=400, n_parts=1, **GEN)
-    lake = Lake(str(tmp_path / "lake"), num_partitions=4)
-    cfg = EngineConfig(
-        num_partitions=4, views=("conv_summary",),
-        merge_mode="mor", compact_every=3,
-    )
-    # chain cadence: epochs 0,1 write deltas (no view yet), epoch 2
+    lake = Lake(str(tmp_path / "lake"), num_partitions=4,
+                views=("conv_summary",))
+    cfg = EngineConfig(num_partitions=4, merge_mode="mor", compact_every=3)
+    # chain cadence: epoch 0 writes each partition's first file (its
+    # whole state: view exact), epoch 1 a delta (view carried), epoch 2
     # compacts (view exact), epoch 3 is a delta again (view carried)
     apply_epoch(lake, 0, [paths[0]], cfg)
-    assert not lake.current_view_files("conv_summary")
+    first = _read_view(lake)
+    assert first.equals(_expected_from_state(lake))
     apply_epoch(lake, 1, [paths[1]], cfg)
-    assert not lake.current_view_files("conv_summary")
+    assert _read_view(lake).equals(first)
+    assert not first.equals(_expected_from_state(lake))
     apply_epoch(lake, 2, [paths[2]], cfg)
     at_compaction = _read_view(lake)
     assert at_compaction.equals(_expected_from_state(lake))
@@ -78,8 +82,9 @@ def test_mor_view_lags_to_compaction_then_exact(ray_session, tmp_path):
 def test_view_idempotent_redelivery(ray_session, tmp_path):
     wal = str(tmp_path / "wal")
     paths = write_wal(wal, n_epochs=2, epoch_size=300, n_parts=1, **GEN)
-    lake = Lake(str(tmp_path / "lake"), num_partitions=4)
-    cfg = EngineConfig(num_partitions=4, views=("conv_summary",))
+    lake = Lake(str(tmp_path / "lake"), num_partitions=4,
+                views=("conv_summary",))
+    cfg = EngineConfig(num_partitions=4)
     for epoch, p in enumerate(paths):
         apply_epoch(lake, epoch, [p], cfg)
     before = _read_view(lake)
@@ -87,10 +92,12 @@ def test_view_idempotent_redelivery(ray_session, tmp_path):
     assert _read_view(lake).equals(before)
 
 
-def test_view_registry_is_pure_and_validated():
-    # unknown view names fail loudly at config time
+def test_view_registry_is_pure_and_validated(tmp_path):
+    # unknown view names fail loudly when the lake is made, before it
+    # saves its config
     with pytest.raises(ValueError, match="unknown view"):
-        EngineConfig(num_partitions=2, views=("not_a_view",))
+        Lake(str(tmp_path / "lake"), num_partitions=2, views=("not_a_view",))
+    assert not (tmp_path / "lake" / "_lake.json").exists()
     # the registered kernel is pure: same state -> same table
     from image_report_ray.sources.synth import gen_epoch
     from image_report_ray.state.merge import merge_state_with_changes
@@ -112,8 +119,9 @@ def test_gc_keeps_views_equal_to_recompute(ray_session, tmp_path,
 
     wal = str(tmp_path / "wal")
     paths = write_wal(wal, n_epochs=2, epoch_size=300, n_parts=1, **GEN)
-    lake = Lake(str(tmp_path / "lake"), num_partitions=4)
-    cfg = EngineConfig(num_partitions=4, views=("conv_summary",))
+    lake = Lake(str(tmp_path / "lake"), num_partitions=4,
+                views=("conv_summary",))
+    cfg = EngineConfig(num_partitions=4)
     apply_epoch(lake, 0, [paths[0]], cfg)
     assert gc_tombstones(lake, before_lsn=10)["gc_seq"] == 0
     assert all("gc=00000" in path for path in
@@ -199,11 +207,10 @@ def test_incremental_view_equals_full_recompute_bitwise(ray_session, tmp_path):
     paths = write_wal(wal, n_epochs=4, epoch_size=400, n_parts=1, **GEN)
 
     for mode, compact_every in (("cow", 1), ("mor", 3)):
-        lake = Lake(str(tmp_path / f"lake_{mode}"), num_partitions=4)
-        cfg = EngineConfig(
-            num_partitions=4, views=("conv_summary", "role_counts"),
-            merge_mode=mode, compact_every=compact_every,
-        )
+        lake = Lake(str(tmp_path / f"lake_{mode}"), num_partitions=4,
+                    views=("conv_summary", "role_counts"))
+        cfg = EngineConfig(num_partitions=4, merge_mode=mode,
+                           compact_every=compact_every)
         for epoch, p in enumerate(paths):
             apply_epoch(lake, epoch, [p], cfg)
         for vname in ("conv_summary", "role_counts"):
@@ -232,76 +239,157 @@ def _events(rows: list[tuple]) -> pa.Table:
          for lsn, op, conv, turn in rows], schema=CHANGE_SCHEMA)
 
 
+def _wal_epoch(wal: str, epoch: int, rows: list[tuple]) -> str:
+    """Write one epoch of (lsn, op, conv, turn) rows under ``wal``."""
+    path = os.path.join(wal, f"epoch={epoch:05d}", "e.parquet")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(_events(rows), path)
+    return path
+
+
+def _view_dict(lake: Lake) -> dict:
+    return {r["conv_id"]: r["n_turns"] for r in _read_view(lake).to_pylist()}
+
+
 def test_view_after_an_epoch_without_views_is_a_full_recompute(
         ray_session, tmp_path, views_match_state):
-    """Views on, off, on: the middle compaction writes no view and the
-    manifest carries the first one forward; the third compaction must
-    not patch that stale view with only the conversations it touches,
-    so its view equals a recompute from state and the lake validates."""
+    """Views are lake config: a P=1 COW lake declares ``conv_summary``
+    and a later ``run_job`` that names no views still stages it, so the
+    view after that epoch equals a recompute from state (it used to
+    carry epoch 0's view, ``a: 1``), and the lake validates."""
     from image_report_ray.cli import main
 
-    lake = Lake(str(tmp_path / "lake"), num_partitions=1)
-    on = EngineConfig(num_partitions=1, views=("conv_summary",))
-    off = EngineConfig(num_partitions=1)
-    for epoch, cfg, rows in (
-            (0, on, [(1, "I", "a", 0), (2, "I", "b", 0)]),
-            (1, off, [(3, "I", "a", 1), (4, "I", "a", 2)]),
-            (2, on, [(5, "I", "b", 1)])):
-        wal = str(tmp_path / f"e{epoch}.parquet")
-        pq.write_table(_events(rows), wal)
-        apply_epoch(lake, epoch, [wal], cfg)
-    views_match_state(lake.root, ["conv_summary"])
-    view = {r["conv_id"]: r["n_turns"] for r in _read_view(lake).to_pylist()}
-    assert view == {"a": 3, "b": 2}
-    assert main(["validate", lake.root]) == 0
+    wal, lake_dir = str(tmp_path / "wal"), str(tmp_path / "lake")
+    cfg = EngineConfig(num_partitions=1)
+    _wal_epoch(wal, 0, [(1, "I", "a", 0), (2, "I", "b", 0)])
+    run_job(lake_dir, wal, cfg, views=("conv_summary",))
+    _wal_epoch(wal, 1, [(3, "I", "a", 1), (4, "I", "a", 2)])
+    assert run_job(lake_dir, wal, cfg)["epochs_applied"] == 1
+    assert Lake(lake_dir).views == ("conv_summary",)
+    views_match_state(lake_dir, ["conv_summary"])
+    assert _view_dict(Lake(lake_dir)) == {"a": 3, "b": 1}
+    assert main(["validate", lake_dir]) == 0
 
 
-def test_validate_lists_a_view_older_than_the_state_base(
-        ray_session, tmp_path, capsys):
-    """A compaction run without views carries the older view forward:
-    `cli validate` lists it under `unverified` and still exits 0. A
-    delta epoch carries the view staged with its base file (the MOR
-    lag), which is not listed."""
+def test_mor_views_cover_every_partition_after_every_commit(
+        ray_session, tmp_path, views_match_state):
+    """A P=4 MOR lake (compact_every=3) with uneven traffic: ``c0``
+    (pid 3) gets a turn every epoch, ``c1`` (pid 1) two turns in epoch 0
+    only. After every commit each partition with state carries the view,
+    equal to a recompute from the base file it was staged with (its
+    state as of that stage), and ``read_view`` has
+    every conversation (``c1`` used to vanish once pid 3 compacted,
+    its only file a first delta with no view)."""
+    lake = Lake(str(tmp_path / "lake"), num_partitions=4,
+                views=("conv_summary",))
+    cfg = EngineConfig(num_partitions=4, merge_mode="mor", compact_every=3)
+    epochs = [[(1, "I", "c0", 0), (2, "I", "c1", 0), (3, "I", "c1", 1)],
+              [(4, "I", "c0", 1)], [(5, "I", "c0", 2)], [(6, "I", "c0", 3)]]
+    want = [{"c0": 1, "c1": 2}, {"c0": 1, "c1": 2}, {"c0": 3, "c1": 2},
+            {"c0": 3, "c1": 2}]
+    for epoch, rows in enumerate(epochs):
+        apply_epoch(lake, epoch, [_wal_epoch(str(tmp_path / "wal"), epoch,
+                                             rows)], cfg)
+        assert sorted(lake.current_file_sets()) == [1, 3]
+        views_match_state(lake.root, ["conv_summary"])
+        assert _view_dict(lake) == want[epoch], epoch
+
+
+def test_cli_views_are_declared_at_creation_and_changed_by_reshard(
+        ray_session, tmp_path, capsys, views_match_state):
+    """``run --views`` on a lake that declares none exits 1 with one
+    JSON ``error`` line naming ``reshard``; ``reshard --views`` gives a
+    lake whose every partition serves the view, exact for its state,
+    which later runs keep without ``--views``, and which no later
+    reshard may overwrite; ``reshard --views ''`` declares none."""
     from image_report_ray.cli import main
 
-    stale = ["pid 0: view 'conv_summary' staged at epoch=00000, before "
-             "the state base epoch=00001; not checked"]
-    for mode, every, want in (("cow", 1, stale), ("mor", 3, None)):
-        lake = Lake(str(tmp_path / mode), num_partitions=1)
-        for epoch, views, rows in (
-                (0, ("conv_summary",), [(1, "I", "a", 0), (2, "I", "b", 0)]),
-                (1, (), [(3, "I", "a", 1)])):
-            wal = str(tmp_path / f"{mode}{epoch}.parquet")
-            pq.write_table(_events(rows), wal)
-            apply_epoch(lake, epoch, [wal], EngineConfig(
-                num_partitions=1, views=views, merge_mode=mode,
-                compact_every=every))
+    wal = str(tmp_path / "wal")
+    src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
+    mor = ["--partitions", "4", "--merge-mode", "mor", "--compact-every", "3"]
+    for epoch, rows in enumerate(
+            [[(1, "I", "c0", 0), (2, "I", "c1", 0), (3, "I", "c1", 1)],
+             [(4, "I", "c0", 1)]]):
+        _wal_epoch(wal, epoch, rows)
+    assert main(["run", src, wal, *mor]) == 0
+    _wal_epoch(wal, 2, [(5, "I", "c0", 2)])
+    capsys.readouterr()
+    assert main(["run", src, wal, *mor, "--views", "conv_summary"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 and "reshard" in json.loads(lines[0])["error"]
+    assert Lake(src).committed_epochs() == [0, 1]
+    assert main(["run", src, wal, *mor]) == 0
+    with pytest.raises(KeyError, match="declares no view"):
+        read_view(Lake(src), "conv_summary")
+
+    assert main(["reshard", src, dst, "--partitions", "4",
+                 "--views", "conv_summary"]) == 0
+    views_match_state(dst, ["conv_summary"])
+    assert _view_dict(Lake(dst)) == {"c0": 3, "c1": 2}
+    capsys.readouterr()  # a lake with commits is never a reshard target
+    assert main(["reshard", src, dst, "--partitions", "4",
+                 "--views", "conv_summary"]) == 1
+    assert "already has commits" in json.loads(capsys.readouterr().out)["error"]
+    _wal_epoch(wal, 3, [(6, "I", "c0", 3), (7, "I", "c1", 2)])
+    assert main(["run", dst, wal, *mor]) == 0
+    views_match_state(dst, ["conv_summary"])
+    capsys.readouterr()
+    assert main(["validate", dst]) == 0
+    assert main(["reshard", dst, str(tmp_path / "none"), "--partitions", "2",
+                 "--views", ""]) == 0
+    assert Lake(str(tmp_path / "none")).views == ()
+    assert not os.path.exists(tmp_path / "none" / "views")
+
+
+def test_validate_requires_every_declared_view(ray_session, tmp_path, capsys):
+    """`cli validate` passes a lake whose every current entry carries
+    every declared view (a MOR delta carries its base's view, which is
+    not listed) and fails, exit 1, once an entry of a commit record
+    lacks one."""
+    from image_report_ray.cli import main
+
+    for mode, every in (("cow", 1), ("mor", 3)):
+        lake = Lake(str(tmp_path / mode), num_partitions=1,
+                    views=("conv_summary",))
+        for epoch, rows in enumerate(
+                [[(1, "I", "a", 0), (2, "I", "b", 0)], [(3, "I", "a", 1)]]):
+            apply_epoch(lake, epoch, [_wal_epoch(str(tmp_path / f"w{mode}"),
+                                                 epoch, rows)],
+                        EngineConfig(num_partitions=1, merge_mode=mode,
+                                     compact_every=every))
         capsys.readouterr()
         assert main(["validate", lake.root]) == 0, mode
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert out["problems"] == [] and out.get("unverified") == want, out
+        assert out == {"partitions_checked": 1, "problems": []}, out
+
+        rec = lake.read_commit(1)
+        del rec["partitions"]["0"]["views"]["conv_summary"]
+        with open(lake.commit_path(1), "w") as f:
+            json.dump(rec, f)
+        assert main(["validate", lake.root]) == 1, mode
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert out["problems"] == [
+            "pid 0: declared view 'conv_summary' missing from entry"], out
 
 
 def test_views_on_a_salted_lake_are_rejected(ray_session, tmp_path, capsys):
     """A salted conversation spans partitions, so per-partition view
-    rows would be partials: apply_epoch raises before staging anything,
-    and `cli run --views` on a salted lake fails with one JSON error
-    line and exit code 1."""
+    rows would be partials: ``Lake`` refuses to declare views on a
+    salted lake before it saves its config, and `cli run --views` with
+    ``--salt-key`` fails with one JSON error line and exit code 1."""
     from image_report_ray.cli import main
 
     (tmp_path / "wal" / "epoch=0").mkdir(parents=True)
     wal = str(tmp_path / "wal" / "epoch=0" / "e0.parquet")
     pq.write_table(_events([(i, "I", "hot", i) for i in range(8)]
                            + [(8, "I", "cold", 0)]), wal)
+    with pytest.raises(ValueError, match="unsalted"):
+        Lake(str(tmp_path / "lake"), num_partitions=4,
+             salt_keys=frozenset({"hot"}), views=("conv_summary",))
+    assert not (tmp_path / "lake" / "_lake.json").exists()
+    # without views the salted lake ingests as before
     lake = Lake(str(tmp_path / "lake"), num_partitions=4,
                 salt_keys=frozenset({"hot"}))
-    cfg = EngineConfig(num_partitions=4, views=("conv_summary",))
-    with pytest.raises(ValueError, match="unsalted"):
-        apply_epoch(lake, 0, [wal], cfg)
-    assert not lake.committed_epochs()
-    assert not os.listdir(tmp_path / "lake" / "data")
-    assert not (tmp_path / "lake" / "views").exists()
-    # without views the salted lake ingests as before
     apply_epoch(lake, 0, [wal], EngineConfig(num_partitions=4))
     assert lake.is_committed(0)
     capsys.readouterr()
@@ -355,8 +443,8 @@ def test_read_view_serves_export_and_empty_partitions(ray_session, tmp_path,
                    str(tmp_path / "i.parquet"))
     pq.write_table(_events([(2, "D", f"c{i}", 0) for i in range(6)]),
                    str(tmp_path / "d.parquet"))
-    lake = Lake(empty, num_partitions=3)
-    cfg = EngineConfig(num_partitions=3, views=("conv_summary", "role_counts"))
+    lake = Lake(empty, num_partitions=3, views=("conv_summary", "role_counts"))
+    cfg = EngineConfig(num_partitions=3)
     apply_epoch(lake, 0, [str(tmp_path / "i.parquet")], cfg)
     apply_epoch(lake, 1, [str(tmp_path / "d.parquet")], cfg)
     gc_tombstones(lake, before_lsn=10)
